@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/bits"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,50 @@ func TestShortRuns(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// wrongAfterSetup is eval-warm with every reference verdict of its first
+// resident made wrong once set-up is done, so that set-up's own checked
+// warm-up passes and the measured phases answer wrong.
+type wrongAfterSetup struct {
+	*evalWarm
+	ref []verdict
+}
+
+func (w *wrongAfterSetup) setup(st *stack) error {
+	r := w.residents[0]
+	r.ref = slices.Clone(w.ref)
+	if err := w.evalWarm.setup(st); err != nil {
+		return err
+	}
+	for i := range r.ref {
+		r.ref[i].count++
+	}
+	return nil
+}
+
+// TestWrongAnswerFails runs eval-warm against wrong reference verdicts:
+// the run must still print its result, marked not correct with failed
+// ops, and exit nonzero.
+func TestWrongAnswerFails(t *testing.T) {
+	ew := &evalWarm{seed: 3}
+	if err := ew.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	w := &wrongAfterSetup{evalWarm: ew, ref: slices.Clone(ew.residents[0].ref)}
+	var stdout, stderr bytes.Buffer
+	o := options{workload: w.name(), seed: 3, seconds: 1, out: t.TempDir()}
+	if code := execute(o, w, &stdout, &stderr); code == 0 {
+		t.Fatalf("exit 0 with wrong reference verdicts\n%s", stdout.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	var res runResult
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
+		t.Fatalf("last line is not the result: %v\n%s", err, stdout.String())
+	}
+	if res.Correct || res.Failed == 0 {
+		t.Fatalf("correct=%v failed=%d with wrong reference verdicts", res.Correct, res.Failed)
 	}
 }
 

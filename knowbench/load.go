@@ -212,9 +212,10 @@ func closedLoop(clients []*client.Client, recs []*recorder, body func(w int, c *
 	return time.Since(t0)
 }
 
-// olResult is one open-loop phase at a fixed offered rate. Latency is timed
-// from each request's scheduled send time, so a stall also charges every
-// request queued behind it; lag is how late each request was sent.
+// olResult is one open-loop phase at a fixed offered rate. A late request's
+// latency is timed from its scheduled send time, so a stall also charges
+// the requests queued behind it; an early one's from its send. lag is how
+// late each request was sent.
 type olResult struct {
 	due      []time.Time
 	lat, lag []time.Duration
@@ -228,13 +229,16 @@ type olResult struct {
 // timerSlack is how late the Go runtime's timers can fire on an idle
 // Linux host: the netpoller sleeps in whole milliseconds, so a 100 µs sleep
 // takes about 1.1 ms. The generator sleeps only to within this of a
-// request's due time and then releases it, early rather than late.
+// request's due time and then releases it, early rather than late. At
+// the workloads' fixed rates this lead spans 2-4 request gaps, so a stall
+// shorter than it is not charged to the requests behind it.
 const timerSlack = 1200 * time.Microsecond
 
 // openLoop offers n requests at rate per second from `senders` goroutines.
 // Request i is due at start + i/rate; a sender takes the next request,
-// waits for it to come due, sends it, and records its latency. With every
-// sender busy, due requests queue: that is the backlog.
+// waits until it is within timerSlack of due, sends it, and records its
+// latency. With every sender busy, due requests queue: that is the
+// backlog.
 func openLoop(n int, rate float64, senders []*client.Client, send func(c *client.Client, i int) error) olResult {
 	res := olResult{due: make([]time.Time, n), lat: make([]time.Duration, n), lag: make([]time.Duration, n)}
 	ok := make([]bool, n)

@@ -7,7 +7,7 @@
 //
 // Usage (from the repository root; knowbench/run.sh builds and runs it):
 //
-//	knowbench --workload eval-warm --seed 1 --seconds 20 --trace 0
+//	knowbench --workload eval-warm --seed 1 --seconds 30 --trace 0
 //
 // The last line of standard output is one JSON object:
 // {"correct", "attempted", "failed", "metrics": {name: {value, unit}}}.
@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var trace int
 	fs.StringVar(&o.workload, "workload", "eval-warm", "workload: eval-warm, announce-ladder or routed-durable")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed; every generated input derives from it")
-	fs.Float64Var(&o.seconds, "seconds", 20, "measured seconds per run (set-up and checks come on top)")
+	fs.Float64Var(&o.seconds, "seconds", 30, "measured seconds per run (set-up and checks come on top)")
 	fs.IntVar(&trace, "trace", 0, "1 runs the traced per-layer run instead of the end-to-end one")
 	fs.StringVar(&o.out, "out", filepath.Join(".bench_build", "knowbench"), "directory for state files and span dumps")
 	if err := fs.Parse(args); err != nil {
@@ -59,8 +59,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "knowbench: --seconds must be positive")
 		return 2
 	}
+	w, err := newWorkload(o.workload, o.seed)
+	if err != nil {
+		fmt.Fprintln(stderr, "knowbench:", err)
+		return 2
+	}
+	if err := w.prepare(); err != nil {
+		fmt.Fprintf(stderr, "knowbench: prepare %s: %v\n", w.name(), err)
+		return 1
+	}
+	return execute(o, w, stdout, stderr)
+}
+
+// execute measures the prepared workload w, prints the result line and
+// returns the exit status. A run in which any op failed or any answer
+// disagreed with the reference still prints its result, marked not
+// correct, but exits 1, so its figures are never taken as a measurement.
+func execute(o options, w workload, stdout, stderr io.Writer) int {
 	runtime.GOMAXPROCS(2)
-	res, err := measure(o, stdout)
+	res, err := measure(o, w, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "knowbench:", err)
 		return 1
@@ -71,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintln(stdout, line)
+	if !res.correct || res.failed > 0 {
+		fmt.Fprintf(stderr, "knowbench: %s: %d of %d ops failed or answered wrong\n", w.name(), res.failed, res.attempted)
+		return 1
+	}
 	return 0
 }
 
@@ -114,10 +135,15 @@ func (r *result) json() (string, error) {
 // Run shape. The fractions split --seconds between the phases of the
 // untraced run; the traced run has its own (traced.go).
 const (
-	setupReps  = 5    // set-ups per run; setup_s is their median
-	olFrac     = 0.17 // the fixed-rate open loop
-	ladderFrac = 0.05 // the rate ladder, reported but not gated
-	rateWindow = 500 * time.Millisecond
+	// setup_s is the median of repeated set-ups: at least minSetups, and
+	// as many more as fit in setupBudget. The host's speed shifts on a
+	// scale of a second, so a median over several seconds of set-ups
+	// repeats from run to run where one over a few set-ups did not.
+	minSetups   = 5
+	setupBudget = 3 * time.Second
+	olFrac      = 0.17 // the fixed-rate open loop
+	ladderFrac  = 0.05 // the rate ladder, reported but not gated
+	rateWindow  = 500 * time.Millisecond
 	// lifecycleFrac is eval-warm's share of the run spent on light session
 	// lifecycles, which give the workload open and announce figures.
 	lifecycleFrac = 0.13
@@ -131,11 +157,7 @@ var ladderRates = []float64{2000, 4000, 6000}
 
 const rungSamples = 1000
 
-func measure(o options, log io.Writer) (*result, error) {
-	w, err := newWorkload(o.workload, o.seed)
-	if err != nil {
-		return nil, err
-	}
+func measure(o options, w workload, log io.Writer) (*result, error) {
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return nil, err
 	}
@@ -144,9 +166,6 @@ func measure(o options, log io.Writer) (*result, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(stateRoot)
-	if err := w.prepare(); err != nil {
-		return nil, fmt.Errorf("prepare %s: %w", w.name(), err)
-	}
 	cfg := w.stackConfig()
 	cfg.stateRoot = stateRoot
 	if o.trace {
@@ -179,20 +198,22 @@ func seconds(frac float64, o options) time.Duration {
 // fresh stack, the closed loop, the heap, then the post-run checks.
 func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, error) {
 	var setups []time.Duration
+	var spent time.Duration
 	var st *stack
-	for rep := 0; rep < setupReps; rep++ {
+	for rep := 0; ; rep++ {
 		s, d, err := setupStack(w, cfg, rep)
 		if err != nil {
 			return nil, err
 		}
 		setups = append(setups, d)
-		if rep < setupReps-1 {
-			if err := s.close(); err != nil {
-				return nil, err
-			}
-			continue
+		spent += d
+		if len(setups) >= minSetups && spent >= setupBudget {
+			st = s
+			break
 		}
-		st = s
+		if err := s.close(); err != nil {
+			return nil, err
+		}
 	}
 	defer st.close()
 	clients := st.clients(2, o.seed, nil)
@@ -241,7 +262,8 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 	total.merge(main)
 
 	res := &result{}
-	res.add("setup_s", median(setups).Seconds(), "s", fmt.Sprintf("median of %d set-ups", len(setups)))
+	res.add("setup_s", median(setups).Seconds(), "s", fmt.Sprintf("median of %d set-ups; quartiles %.4f-%.4f s, first %.4f s",
+		len(setups), quantile(slices.Clone(setups), 0.25).Seconds(), quantile(slices.Clone(setups), 0.75).Seconds(), setups[0].Seconds()))
 	var all []sample
 	for _, l := range main.lat {
 		all = append(all, l...)

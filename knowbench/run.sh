@@ -2,7 +2,7 @@
 # Builds knowbench from the checkout's sources and runs it with the given
 # arguments, from the repository root:
 #
-#   bash knowbench/run.sh --workload eval-warm --seed 1 --seconds 25 --trace 0
+#   bash knowbench/run.sh --workload eval-warm --seed 1 --seconds 30 --trace 0
 #
 # Everything the build and the run write stays under .bench_build/ in the
 # checkout: the Go build cache, temporary files, the binary, knowd state

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"strings"
 	"time"
 
@@ -416,13 +420,33 @@ type routedDurable struct {
 	seed      int64
 	residents []*resident // the open-loop eval targets among the population
 	all       []loadgen.Op
-	// executed[w] counts client w's completed session scripts, and
-	// digests[w] holds the SHA-256 of each of their records: opens in
-	// [0], bodies in [1]. Digests keep the comparison byte-exact without
-	// holding the records in the heap that heap_live_mb measures.
+	// executed[w] counts client w's completed session scripts. sums[w]
+	// is a running hash of their records, opens in [0] and bodies in [1],
+	// the order loadgen reports them in. It keeps the comparison
+	// byte-exact while no per-op data stays in the heap that heap_live_mb
+	// measures.
 	executed []int
-	digests  [][2][][32]byte
+	sums     [][2]*recordSum
 }
+
+// recordSum is a running SHA-256 over a sequence of records, each field
+// length-prefixed so that no two sequences hash the same bytes.
+type recordSum struct {
+	h hash.Hash
+	n int
+}
+
+func newRecordSum() *recordSum { return &recordSum{h: sha256.New()} }
+
+func (s *recordSum) add(rec loadgen.Record) {
+	for _, f := range []string{rec.Line, rec.Body, rec.Err} {
+		s.h.Write(binary.AppendUvarint(nil, uint64(len(f))))
+		io.WriteString(s.h, f)
+	}
+	s.n++
+}
+
+func (s *recordSum) sum() []byte { return s.h.Sum(nil) }
 
 func (*routedDurable) name() string { return "routed-durable" }
 
@@ -491,7 +515,10 @@ func (r *routedDurable) setup(st *stack) error {
 		}
 	}
 	r.executed = make([]int, 2)
-	r.digests = make([][2][][32]byte, 2)
+	r.sums = make([][2]*recordSum, 2)
+	for w := range r.sums {
+		r.sums[w] = [2]*recordSum{newRecordSum(), newRecordSum()}
+	}
 	return warmEvals(st, r.residents, r.seed, 100)
 }
 
@@ -515,7 +542,7 @@ func (r *routedDurable) closed(w int, c *client.Client, rec *recorder, deadline 
 			if i == 0 {
 				part = 0
 			}
-			r.digests[w][part] = append(r.digests[w][part], digest(out))
+			r.sums[w][part].add(out)
 			fs := op.Formulas
 			if op.Kind == loadgen.OpAnnounce {
 				fs = []string{op.Formula}
@@ -524,10 +551,6 @@ func (r *routedDurable) closed(w int, c *client.Client, rec *recorder, deadline 
 		}
 		r.executed[w] = j + 1
 	}
-}
-
-func digest(rec loadgen.Record) [32]byte {
-	return sha256.Sum256([]byte(rec.Line + "\x00" + rec.Body + "\x00" + rec.Err))
 }
 
 func opKindOf(k loadgen.OpKind) opKind {
@@ -596,11 +619,10 @@ func (r *routedDurable) olEval(c *client.Client, i int) error {
 }
 
 // verify replays the executed scripts through loadgen's own fleet against
-// one direct knowd and counts the records that are not byte-identical;
-// the first difference is reported as an error.
+// one direct knowd, hashes its records the way the routed run did, and
+// counts the worker-part sums (opens or bodies of one client) that differ.
 func (r *routedDurable) verify() (int, error) {
 	sched := &loadgen.Schedule{Cfg: r.roundConfig(0), Opens: make([][]loadgen.Op, 2), Body: make([][]loadgen.Op, 2)}
-	var got [][32]byte
 	for w := range r.executed {
 		for k := 0; k*roundScripts < r.executed[w]; k++ {
 			for j, script := range r.scripts(w, k) {
@@ -611,10 +633,6 @@ func (r *routedDurable) verify() (int, error) {
 				sched.Body[w] = append(sched.Body[w], script[1:]...)
 			}
 		}
-		got = append(got, r.digests[w][0]...)
-	}
-	for w := range r.digests {
-		got = append(got, r.digests[w][1]...)
 	}
 	st, err := startStack(stackConfig{})
 	if err != nil {
@@ -629,17 +647,30 @@ func (r *routedDurable) verify() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("reference run: %w", err)
 	}
-	if len(res.Records) != len(got) {
-		return 1, wrongf("routed run has %d records, reference %d", len(got), len(res.Records))
-	}
+	// loadgen reports every client's opens, then every client's bodies.
+	recs := res.Records
 	wrong := 0
-	for i, want := range res.Records {
-		if got[i] != digest(want) {
-			if wrong == 0 {
-				err = wrongf("record %d differs from the single-knowd reference, which is %+v", i, want)
+	for part, ops := range [2][][]loadgen.Op{sched.Opens, sched.Body} {
+		for w := range ops {
+			n := min(len(ops[w]), len(recs))
+			want := newRecordSum()
+			for _, rec := range recs[:n] {
+				want.add(rec)
 			}
-			wrong++
+			recs = recs[n:]
+			got := r.sums[w][part]
+			if got.n != want.n || !bytes.Equal(got.sum(), want.sum()) {
+				if wrong == 0 {
+					err = wrongf("client %d's %s: the hash over its %d records differs from the single-knowd reference's over %d",
+						w, [2]string{"opens", "bodies"}[part], got.n, want.n)
+				}
+				wrong++
+			}
 		}
+	}
+	if len(recs) != 0 && wrong == 0 {
+		err = wrongf("the single-knowd reference has %d records more than the routed run", len(recs))
+		wrong++
 	}
 	return wrong, err
 }
