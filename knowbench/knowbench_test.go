@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/bits"
 	"os"
 	"slices"
@@ -10,6 +11,19 @@ import (
 	"testing"
 	"time"
 )
+
+// TestMain lets the test binary serve as the host probe's child, as the
+// knowbench binary does.
+func TestMain(m *testing.M) {
+	if os.Getenv(probeEnv) == "1" {
+		if err := probeChild(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "knowbench probe:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	os.Exit(m.Run())
+}
 
 // benchmarkSpec is the part of BENCHMARK.json the self-test checks the
 // output against.

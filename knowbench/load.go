@@ -160,23 +160,6 @@ func durations(s []sample) []time.Duration {
 	return ds
 }
 
-// windowRate is the median over fixed windows of the completion rate: the
-// run from t0 to t1 is cut into windows of width w (the ragged tail is
-// dropped) and each window's completions are counted.
-func windowRate(samples []sample, t0, t1 time.Time, w time.Duration) (float64, int) {
-	k := int(t1.Sub(t0) / w)
-	if k < 1 {
-		return float64(len(samples)) / t1.Sub(t0).Seconds(), 1
-	}
-	counts := make([]int, k)
-	for _, s := range samples {
-		if i := int((s.at - t0.Sub(epoch)) / w); i >= 0 && i < k {
-			counts[i]++
-		}
-	}
-	return float64(quantile(counts, 0.5)) / w.Seconds(), k
-}
-
 // quantile returns the q-quantile of ds by nearest rank, sorting ds.
 func quantile[T cmp.Ordered](ds []T, q float64) T {
 	if len(ds) == 0 {
@@ -306,6 +289,25 @@ func openLoop(n int, rate float64, senders []*client.Client, send func(c *client
 		}
 	}
 	return res
+}
+
+// merge appends the open-loop segment o to r.
+func (r *olResult) merge(o olResult) {
+	r.due = append(r.due, o.due...)
+	r.lat = append(r.lat, o.lat...)
+	r.lag = append(r.lag, o.lag...)
+	r.sent += o.sent
+	r.failed += o.failed
+	r.wrong += o.wrong
+	r.errs = append(r.errs, o.errs...)
+}
+
+// addOL counts an open-loop phase's requests into r's tally.
+func (r *recorder) addOL(o *olResult) {
+	r.attempted += o.sent
+	r.failed += o.failed
+	r.wrong += o.wrong
+	r.errs = append(r.errs, o.errs...)
 }
 
 // samples returns the latencies as samples stamped with their due times.

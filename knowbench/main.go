@@ -29,6 +29,13 @@ import (
 )
 
 func main() {
+	if os.Getenv(probeEnv) == "1" {
+		if err := probeChild(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "knowbench probe:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -108,10 +115,17 @@ type result struct {
 	correct           bool
 	attempted, failed int
 	metrics           []metric
+	// printed are figures shown on the human-readable lines but left out
+	// of the result line, because they do not repeat from run to run.
+	printed []metric
 }
 
 func (r *result) add(name string, value float64, unit, note string) {
 	r.metrics = append(r.metrics, metric{name, value, unit, note})
+}
+
+func (r *result) addPrinted(name string, value float64, unit, note string) {
+	r.printed = append(r.printed, metric{name, value, unit, note})
 }
 
 func (r *result) json() (string, error) {
@@ -141,9 +155,13 @@ const (
 	// repeats from run to run where one over a few set-ups did not.
 	minSetups   = 5
 	setupBudget = 3 * time.Second
-	olFrac      = 0.17 // the fixed-rate open loop
-	ladderFrac  = 0.05 // the rate ladder, reported but not gated
-	rateWindow  = 500 * time.Millisecond
+	// probeEvery is how much measured load runs between two host probe
+	// samples (probe.go); the throughput is taken per such segment.
+	probeEvery = 1500 * time.Millisecond
+	// setupProbeEvery is the same for the repeated set-ups.
+	setupProbeEvery = 500 * time.Millisecond
+	olFrac          = 0.17 // the fixed-rate open loop
+	ladderFrac      = 0.05 // the rate ladder, reported but not gated
 	// lifecycleFrac is eval-warm's share of the run spent on light session
 	// lifecycles, which give the workload open and announce figures.
 	lifecycleFrac = 0.13
@@ -194,11 +212,55 @@ func seconds(frac float64, o options) time.Duration {
 	return time.Duration(frac * o.seconds * float64(time.Second))
 }
 
+// segments cuts d into whole segments of about probeEvery.
+func segments(d time.Duration) (int, time.Duration) {
+	n := max(int((d+probeEvery/2)/probeEvery), 1)
+	return n, d / time.Duration(n)
+}
+
+// closedSegments runs body on the clients for d in all, in segments with a
+// host probe sample after each, and returns each segment's completion
+// rate. The clients finish the op or script in hand at each segment's
+// end, so no op spans a probe.
+func closedSegments(d time.Duration, pr *probe, clients []*client.Client, recs []*recorder,
+	body func(w int, c *client.Client, rec *recorder, deadline time.Time)) ([]float64, error) {
+	completed := func() int {
+		n := 0
+		for _, r := range recs {
+			n += r.completed()
+		}
+		return n
+	}
+	n, seg := segments(d)
+	var rates []float64
+	for range n {
+		before := completed()
+		deadline := time.Now().Add(seg)
+		wall := closedLoop(clients, recs, func(i int, c *client.Client, rec *recorder) { body(i, c, rec, deadline) })
+		rates = append(rates, float64(completed()-before)/wall.Seconds())
+		if err := pr.measure(); err != nil {
+			return nil, fmt.Errorf("host probe: %w", err)
+		}
+	}
+	return rates, nil
+}
+
 // untraced is the end-to-end run: set-up (repeated), the open loop on the
-// fresh stack, the closed loop, the heap, then the post-run checks.
-func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, error) {
+// fresh stack, the closed loop, the heap, then the post-run checks. Host
+// probe samples are taken between set-ups and between segments of the
+// measured load, and every timed metric is scaled by them (probe.go).
+func untraced(o options, w workload, cfg stackConfig, log io.Writer) (res *result, err error) {
+	pr, err := startProbe()
+	if err != nil {
+		return nil, fmt.Errorf("host probe: %w", err)
+	}
+	defer func() {
+		if cerr := pr.close(); cerr != nil && err == nil {
+			err = fmt.Errorf("host probe: %w", cerr)
+		}
+	}()
 	var setups []time.Duration
-	var spent time.Duration
+	var spent, sinceProbe time.Duration
 	var st *stack
 	for rep := 0; ; rep++ {
 		s, d, err := setupStack(w, cfg, rep)
@@ -207,7 +269,16 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 		}
 		setups = append(setups, d)
 		spent += d
-		if len(setups) >= minSetups && spent >= setupBudget {
+		sinceProbe += d
+		done := len(setups) >= minSetups && spent >= setupBudget
+		if done || sinceProbe >= setupProbeEvery {
+			if err := pr.measure(); err != nil {
+				s.close()
+				return nil, fmt.Errorf("host probe: %w", err)
+			}
+			sinceProbe = 0
+		}
+		if done {
 			st = s
 			break
 		}
@@ -220,21 +291,27 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 	total := &recorder{}
 
 	// Open loop first, on the freshly set-up stack, so the closed loop's
-	// write-through traffic cannot spill into it.
+	// sessions cannot spill into it. It runs in segments, each on a fresh
+	// schedule, with a probe sample after each.
 	rate := w.olRate()
-	fixed := openLoop(max(int(rate*seconds(olFrac, o).Seconds()), 100), rate, clients, w.olEval)
-	ol := []olResult{fixed}
+	var fixed olResult
+	olN, olSeg := segments(seconds(olFrac, o))
+	for range olN {
+		base := fixed.sent
+		seg := openLoop(max(int(rate*olSeg.Seconds()), 100), rate, clients, func(c *client.Client, i int) error {
+			return w.olEval(c, base+i)
+		})
+		fixed.merge(seg)
+		if err := pr.measure(); err != nil {
+			return nil, fmt.Errorf("host probe: %w", err)
+		}
+	}
+	total.addOL(&fixed)
 	for _, rate := range ladderRates {
 		r := openLoop(rungSamples, rate, clients, w.olEval)
-		ol = append(ol, r)
-		fmt.Fprintf(log, "ladder rung %5.0f req/s: eval p99 %.3f ms from due time (n=%d), tail lag %.3f ms\n",
+		total.addOL(&r)
+		fmt.Fprintf(log, "ladder rung %5.0f req/s: eval p99 %.3f ms from due time (n=%d), tail lag %.3f ms (raw, not scaled)\n",
 			rate, ms(quantile(slices.Clone(r.lat), 0.99)), r.sent, ms(r.tailLag))
-	}
-	for _, r := range ol {
-		total.attempted += r.sent
-		total.failed += r.failed
-		total.wrong += r.wrong
-		total.errs = append(total.errs, r.errs...)
 	}
 
 	// The closed loop.
@@ -244,32 +321,38 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 		// eval loop that follows is pure reads.
 		life := []*recorder{{}, {}}
 		lifeDur := seconds(lifecycleFrac, o)
-		deadline := time.Now().Add(lifeDur)
-		closedLoop(clients, life, func(i int, c *client.Client, rec *recorder) { ew.lifecycle(i, c, rec, deadline) })
+		if _, err := closedSegments(lifeDur, pr, clients, life, ew.lifecycle); err != nil {
+			return nil, err
+		}
 		for _, r := range life {
 			total.merge(r)
 		}
 		closedDur -= lifeDur
 	}
 	recs := []*recorder{{}, {}}
-	t0 := time.Now()
-	deadline := t0.Add(closedDur)
-	closedLoop(clients, recs, func(i int, c *client.Client, rec *recorder) { w.closed(i, c, rec, deadline) })
+	rates, err := closedSegments(closedDur, pr, clients, recs, w.closed)
+	if err != nil {
+		return nil, err
+	}
 	main := &recorder{}
 	for _, r := range recs {
 		main.merge(r)
 	}
 	total.merge(main)
 
-	res := &result{}
-	res.add("setup_s", median(setups).Seconds(), "s", fmt.Sprintf("median of %d set-ups; quartiles %.4f-%.4f s, first %.4f s",
-		len(setups), quantile(slices.Clone(setups), 0.25).Seconds(), quantile(slices.Clone(setups), 0.75).Seconds(), setups[0].Seconds()))
-	var all []sample
-	for _, l := range main.lat {
-		all = append(all, l...)
-	}
-	tput, windows := windowRate(all, t0, deadline, rateWindow)
-	res.add("throughput_ops_s", tput, "1/s", fmt.Sprintf("median over %d windows of %v; %d ops", windows, rateWindow, len(all)))
+	// Every time is scaled to the probe's reference speed; a rate by the
+	// inverse.
+	scale := pr.scale()
+	probeMed := quantile(slices.Clone(pr.samples), 0.5)
+	fmt.Fprintf(log, "host probe: median round trip %.1f us over %d samples (quartiles %.1f-%.1f us); reference %.1f us, so times x %.4f, rates / %.4f\n",
+		us(probeMed), len(pr.samples), us(quantile(slices.Clone(pr.samples), 0.25)), us(quantile(slices.Clone(pr.samples), 0.75)),
+		us(probeRefNs), scale, scale)
+	res = &result{}
+	setupMed := median(setups)
+	res.add("setup_s", setupMed.Seconds()*scale, "s", fmt.Sprintf("median of %d set-ups; raw %.4f s, quartiles %.4f-%.4f s, first %.4f s",
+		len(setups), setupMed.Seconds(), quantile(slices.Clone(setups), 0.25).Seconds(), quantile(slices.Clone(setups), 0.75).Seconds(), setups[0].Seconds()))
+	tput := quantile(slices.Clone(rates), 0.5)
+	res.add("throughput_ops_s", tput/scale, "1/s", fmt.Sprintf("median over %d segments of %v; raw %.1f 1/s; %d ops", len(rates), closedDur/time.Duration(len(rates)), tput, main.completed()))
 	for _, k := range []opKind{kOpen, kEval, kAnnounce} {
 		lat := main.lat[k]
 		if len(lat) == 0 {
@@ -277,20 +360,27 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 		}
 		p50, c50 := chunked(lat, p50Chunk, 0.5)
 		p99, c99 := chunked(lat, p99Chunk, 0.99)
-		res.add(k.String()+"_p50_ms", ms(p50), "ms", fmt.Sprintf("median over %d windows; n=%d", c50, len(lat)))
-		note := fmt.Sprintf("median over %d windows of %d; n=%d", c99, p99Chunk, len(lat))
+		res.add(k.String()+"_p50_ms", ms(p50)*scale, "ms", fmt.Sprintf("median over %d windows; raw %.4f ms; n=%d", c50, ms(p50), len(lat)))
+		note := fmt.Sprintf("median over %d windows of %d; raw %.4f ms; n=%d", c99, p99Chunk, ms(p99), len(lat))
 		if len(lat) < p99Chunk {
 			note = fmt.Sprintf("n=%d: fewer than 10 samples beyond p99", len(lat))
 		}
-		res.add(k.String()+"_p99_ms", ms(p99), "ms", note)
+		// The p99s are printed, not gated: set by the host's stalls and the
+		// rare heavy op, they spread 25-50% between runs of one commit even
+		// when scaled by the host probe.
+		res.addPrinted(k.String()+"_p99_ms", ms(p99)*scale, "ms", note)
 	}
+	// The open-loop p50 is printed, not gated: at a fixed offered rate
+	// the queueing makes it move more than in proportion to the host's
+	// speed, and it spread 11-23% between runs of one commit even when
+	// scaled by the host probe.
 	olp50, c50 := chunked(fixed.samples(), p50Chunk, 0.5)
-	res.add("ol_eval_p50_ms", ms(olp50), "ms", fmt.Sprintf("%.0f req/s from due time, median over %d windows; n=%d", rate, c50, fixed.sent))
+	res.addPrinted("ol_eval_p50_ms", ms(olp50)*scale, "ms", fmt.Sprintf("%.0f req/s from due time, median over %d windows; raw %.4f ms; n=%d", rate, c50, ms(olp50), fixed.sent))
 	// The open-loop p99 is printed, not gated: charged from due time, it
 	// is set by how long the host stalled the process, and it spread
 	// 30-500% between runs of one commit.
 	olp99, c99 := chunked(fixed.samples(), p99Chunk, 0.99)
-	fmt.Fprintf(log, "open loop %.0f req/s: eval p99 %.3f ms from due time (median over %d windows, not gated), generator lag p99 %.3f ms\n",
+	fmt.Fprintf(log, "open loop %.0f req/s: eval p99 %.3f ms from due time (raw, median over %d windows, not gated), generator lag p99 %.3f ms\n",
 		rate, ms(olp99), c99, ms(quantile(fixed.lag, 0.99)))
 	// The stack is still up. The benchmark's own samples are summarised
 	// by now and dropped before the heap is read.
@@ -318,6 +408,9 @@ func untraced(o options, w workload, cfg stackConfig, log io.Writer) (*result, e
 	}
 	for _, m := range res.metrics {
 		fmt.Fprintf(log, "%-18s %12.4f %-4s  %s\n", m.name, m.value, m.unit, m.note)
+	}
+	for _, m := range res.printed {
+		fmt.Fprintf(log, "%-18s %12.4f %-4s  %s (not gated)\n", m.name, m.value, m.unit, m.note)
 	}
 	return res, nil
 }

@@ -39,11 +39,8 @@ type stack struct {
 
 type stackConfig struct {
 	routed bool
-	// writeThrough runs every knowd with -write-through into a state
-	// directory under stateRoot.
-	writeThrough bool
-	// stateDir gives each knowd a state directory without write-through,
-	// so the traced run can time SaveSessions on any workload.
+	// stateDir gives each knowd a state directory under stateRoot, without
+	// write-through, so the traced run can time SaveSessions.
 	stateDir  bool
 	stateRoot string
 	tr        *tracer
@@ -85,12 +82,11 @@ func (st *stack) startKnowd(cfg stackConfig, i int) (string, error) {
 		SessionTTL:   15 * time.Minute,
 		BootID:       bootID,
 	}
-	if cfg.writeThrough || cfg.stateDir {
+	if cfg.stateDir {
 		scfg.StateDir = filepath.Join(cfg.stateRoot, fmt.Sprintf("knowd%d", i))
 		if err := os.MkdirAll(scfg.StateDir, 0o755); err != nil {
 			return "", err
 		}
-		scfg.WriteThrough = cfg.writeThrough
 	}
 	s := server.New(scfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
