@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -421,6 +422,51 @@ func BenchmarkAblationGossipChain(b *testing.B) {
 				last := res.Steps[len(res.Steps)-1]
 				if last.Worlds != 1 || !last.Common {
 					b.Fatalf("chain should end on the actual world alone with C attained, got %+v", last)
+				}
+			}
+		})
+	}
+}
+
+// The kernel stage of a served muddy:n session, all children muddy: what
+// knowd's loadSystem does on open (build the model, take its
+// quotient-for-eval view) and what each announce does (evaluate the
+// announcement on the view, restrict to its denotation), for the father's
+// statement and the n-1 "nobody knows" rounds that leave the actual world
+// alone. Transport, JSON and formula parsing are left out.
+func BenchmarkServedAnnounceChain(b *testing.B) {
+	for _, n := range []int{8, 9, 10} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			all := make([]int, n)
+			father := make([]string, n)
+			nobody := make([]string, n)
+			for i := range all {
+				all[i] = i
+				father[i] = fmt.Sprintf("muddy%d", i)
+				nobody[i] = fmt.Sprintf("~(K%d muddy%d | K%d ~muddy%d)", i, i, i, i)
+			}
+			ladder := []logic.Formula{logic.MustParse(strings.Join(father, " | "))}
+			nobodyF := logic.MustParse(strings.Join(nobody, " & "))
+			for r := 1; r < n; r++ {
+				ladder = append(ladder, nobodyF)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := muddy.New(n, all)
+				if err != nil {
+					b.Fatal(err)
+				}
+				view := p.Model().QuotientForEval(1)
+				for _, f := range ladder {
+					keep, err := view.Eval(f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					view = view.Restrict(keep, 1)
+				}
+				if view.NumWorlds() != 1 {
+					b.Fatalf("ladder ended on %d worlds, want 1", view.NumWorlds())
 				}
 			}
 		})

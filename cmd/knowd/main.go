@@ -85,6 +85,12 @@ func run(args []string, out io.Writer) error {
 		BootID:       bootID,
 		Logf:         logf,
 	})
+	// Catch SIGTERM before restoring and listening, so one that arrives in
+	// between is drained like any other instead of killing the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigc)
+
 	if *state != "" {
 		restored, err := s.LoadSessions()
 		if err != nil {
@@ -100,10 +106,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "knowd: listening on %s (seed %d)\n", l.Addr(), *seed)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
 
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(l) }()

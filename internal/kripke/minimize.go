@@ -2,7 +2,7 @@ package kripke
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/unionfind"
@@ -19,9 +19,9 @@ import (
 // refinement on dense class ids: blocks start as valuation classes (one
 // split per fact column) and split until every block has, for every agent,
 // the same set of blocks reachable through that agent's view class. All
-// bookkeeping is int32 renumbering through reusable mark tables and
-// uint64-keyed pair maps — the same columnar machinery the Builder and
-// Restrict use — not string signatures.
+// bookkeeping is int32 renumbering through counting sorts and reusable
+// mark tables — the same columnar machinery the Builder and Restrict use —
+// with no maps and no string signatures.
 //
 // On a model produced by RestrictWithQuotient, Minimize re-refines
 // incrementally from the renamed pre-announcement blocks instead of the
@@ -57,8 +57,7 @@ func (m *Model) minimizeScratch() (*Model, []int) {
 	if m.numWorlds == 0 {
 		return NewModel(0, m.numAgents), []int{}
 	}
-	r := m.newRefiner(nil, 0)
-	r.splitByFacts()
+	r := m.factRefiner()
 	r.refine()
 	return r.quotient()
 }
@@ -182,31 +181,9 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, 
 			compDirty[d.Find(b)] = true
 		}
 	}
-	// Fact signature of each q1 block: successive (sig, bit) renumbering
-	// over the fact columns, the same split Minimize itself starts with.
-	factSig := make([]int32, nB)
-	nSig := int32(1)
-	mark := make([]int32, 2*nB)
-	for _, prop := range q1.Facts() {
-		col := q1.valuation[prop]
-		need := 2 * nSig
-		for i := int32(0); i < need; i++ {
-			mark[i] = -1
-		}
-		next := int32(0)
-		for b := 0; b < nB; b++ {
-			k := 2 * factSig[b]
-			if col.Contains(b) {
-				k++
-			}
-			if mark[k] < 0 {
-				mark[k] = next
-				next++
-			}
-			factSig[b] = mark[k]
-		}
-		nSig = next
-	}
+	// Fact signature of each q1 block: the split Minimize itself starts with.
+	facts := q1.factRefiner()
+	factSig, nSig := facts.block, facts.n
 	// The disturbed region: blocks in dirty components seed it, and any
 	// block sharing a fact signature with one joins (a merge partner has
 	// equal facts, so the signature closure catches it).
@@ -221,10 +198,8 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, 
 	// coarser than the true quotient, so refining it to stability lands
 	// exactly there — walking only the disturbed groups.
 	hIDs := make([]int32, nB)
-	sigClass := mark[:nSig]
-	for i := range sigClass {
-		sigClass[i] = -1
-	}
+	sigClass := make([]int32, nSig)
+	fill(sigClass, -1)
 	next := int32(0)
 	for b := 0; b < nB; b++ {
 		if sigDirty[factSig[b]] {
@@ -238,8 +213,8 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, 
 			next++
 		}
 	}
+	// hIDs already refines the fact split, so refinement starts right away.
 	r := q1.newRefiner(hIDs, next)
-	r.splitByFacts()
 	r.refine()
 	q2, b2 := r.quotient()
 	return q2, b2, false
@@ -248,25 +223,25 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, 
 // refiner is one partition-refinement run over a model: the current block
 // ids, the resolved agent relations, and every piece of reusable scratch
 // the split and signature passes need. Minimize (from scratch or seeded)
-// builds one, refines to stability, and materializes the quotient.
+// builds one, refines to stability, and materializes the quotient. All
+// interning is by counting sorts and mark tables over dense ids; no maps.
 type refiner struct {
 	m     *Model
 	W     int
 	block []int32 // block[w] is w's current block id, dense, first-occurrence order
 	n     int32   // number of blocks
 
-	rels []minRel
+	rels []minRel // resolved on first use, so a fact split alone stays cheap
 
-	mark    []int32
-	members []int32
+	mark    []int32 // renumbering table
+	members []int32 // worlds grouped by block, ascending within each block
+	boff    []int32 // members[boff[b]:boff[b+1]] are block b's worlds
 	cursor  []int32
-	off     []int32
-	seen    []int32
-	epoch   int32
-	gather  []int32
+	coff    []int32 // lists[coff[c]:coff[c+1]] is class c's sorted block list
+	lists   []int32
+	order   []int32
 	sig     []int32
-	setIDs  map[uint64]int32
-	pair    map[uint64]int32
+	loc     []int32
 }
 
 // minRel is one agent's class ids resolved once per refinement run. A nil
@@ -278,56 +253,71 @@ type minRel struct {
 	n   int
 }
 
+// grow returns s resliced to length n, reallocating when its capacity is
+// short; the contents are unspecified.
+func grow(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// fill sets every entry of s to v.
+func fill(s []int32, v int32) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // newRefiner prepares a refinement run starting from the given seed
 // partition (renumbered to dense first-occurrence ids; seed ids must lie
 // in [0, nSeed)). A nil seed starts from the trivial one-block partition.
 func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
-	W := m.numWorlds
-	r := &refiner{
-		m:       m,
-		W:       W,
-		block:   make([]int32, W),
-		members: make([]int32, W),
-		cursor:  make([]int32, W),
-		setIDs:  make(map[uint64]int32),
-		pair:    make(map[uint64]int32),
-	}
+	r := &refiner{m: m, W: m.numWorlds, block: make([]int32, m.numWorlds)}
 	if seed == nil {
 		r.n = 1
-	} else {
-		mk := make([]int32, nSeed)
-		for i := range mk {
-			mk[i] = -1
-		}
-		next := int32(0)
-		for w, id := range seed {
-			if mk[id] < 0 {
-				mk[id] = next
-				next++
-			}
-			r.block[w] = mk[id]
-		}
-		r.n = next
+		return r
 	}
-	r.rels = make([]minRel, m.numAgents)
+	mk := make([]int32, nSeed)
+	fill(mk, -1)
+	next := int32(0)
+	for w, id := range seed {
+		if mk[id] < 0 {
+			mk[id] = next
+			next++
+		}
+		r.block[w] = mk[id]
+	}
+	r.n = next
+	return r
+}
+
+// factRefiner is a refiner from the trivial partition already split by
+// every fact column: its blocks are the model's valuation classes.
+func (m *Model) factRefiner() *refiner {
+	r := m.newRefiner(nil, 0)
+	r.splitByFacts()
+	return r
+}
+
+// resolveRels resolves every agent's class ids once per run.
+func (r *refiner) resolveRels() {
+	if r.rels != nil {
+		return
+	}
+	r.rels = make([]minRel, r.m.numAgents)
 	for a := range r.rels {
-		ids, cn := m.relIDs(a)
+		ids, cn := r.m.relIDs(a)
 		r.rels[a] = minRel{ids, cn}
 	}
-	return r
 }
 
 // splitByBit refines the blocks by membership in col: (block, bit) pairs
 // are renumbered densely through the mark table.
 func (r *refiner) splitByBit(col *bitset.Set) {
-	need := 2 * int(r.n)
-	if cap(r.mark) < need {
-		r.mark = make([]int32, need)
-	}
-	mk := r.mark[:need]
-	for i := range mk {
-		mk[i] = -1
-	}
+	mk := grow(r.mark, 2*int(r.n))
+	r.mark = mk
+	fill(mk, -1)
 	next := int32(0)
 	for w := 0; w < r.W; w++ {
 		k := 2 * r.block[w]
@@ -351,70 +341,122 @@ func (r *refiner) splitByFacts() {
 	}
 }
 
-// classSigs assigns every class of one agent an interned id of its set of
-// current blocks (equal block sets ⇔ equal ids). Scratch: a counting sort
-// of worlds by class, an epoch stamp to deduplicate blocks within a class,
-// and a pair-fold interner for the sorted block lists — each sorted list
-// folds left through a map[uint64]int32, which is injective on sequences,
-// so no strings or hashes that could collide are involved. Sig ids are
-// bounded by the total list length, hence < W.
-func (r *refiner) classSigs(rel minRel) []int32 {
-	cn := rel.n
-	if cap(r.off) < cn+1 {
-		r.off = make([]int32, cn+1)
+// groupByBlock counting-sorts the worlds by current block into members,
+// ascending within each block.
+func (r *refiner) groupByBlock() {
+	n := int(r.n)
+	r.boff = grow(r.boff, n+1)
+	r.cursor = grow(r.cursor, n)
+	r.members = grow(r.members, r.W)
+	boff, cur := r.boff, r.cursor
+	clear(boff)
+	for _, b := range r.block {
+		boff[b+1]++
 	}
-	ofs := r.off[:cn+1]
-	for i := range ofs {
-		ofs[i] = 0
+	for b := 0; b < n; b++ {
+		boff[b+1] += boff[b]
 	}
-	for _, id := range rel.ids {
-		ofs[id+1]++
+	copy(cur, boff[:n])
+	for w, b := range r.block {
+		r.members[cur[b]] = int32(w)
+		cur[b]++
+	}
+}
+
+// classSigs groups the worlds by block (see groupByBlock) and assigns every
+// class of one agent a signature id of its set of current blocks: equal
+// block sets get equal ids. Walking the blocks in order writes each
+// class's distinct blocks already sorted, into one flat list; the classes
+// are then sorted by list and equal neighbours share an id. It returns the
+// per-class ids and their count, which is at most the class count.
+func (r *refiner) classSigs(rel minRel) ([]int32, int32) {
+	r.groupByBlock()
+	cn, n := rel.n, int(r.n)
+	ids, boff, members := rel.ids, r.boff, r.members
+	r.coff = grow(r.coff, cn+1)
+	r.cursor = grow(r.cursor, max(cn, n))
+	coff, cur := r.coff, r.cursor[:cn]
+	// Count each class's distinct blocks; cur[c] holds the last block
+	// counted for class c.
+	clear(coff)
+	fill(cur, -1)
+	for b := int32(0); b < int32(n); b++ {
+		for _, w := range members[boff[b]:boff[b+1]] {
+			if c := ids[w]; cur[c] != b {
+				cur[c] = b
+				coff[c+1]++
+			}
+		}
 	}
 	for c := 0; c < cn; c++ {
-		ofs[c+1] += ofs[c]
+		coff[c+1] += coff[c]
 	}
-	cur := r.cursor[:cn]
-	copy(cur, ofs[:cn])
-	for w, id := range rel.ids {
-		r.members[cur[id]] = int32(w)
-		cur[id]++
+	r.lists = grow(r.lists, int(coff[cn]))
+	lists := r.lists
+	copy(cur, coff[:cn])
+	for b := int32(0); b < int32(n); b++ {
+		for _, w := range members[boff[b]:boff[b+1]] {
+			if c := ids[w]; cur[c] == coff[c] || lists[cur[c]-1] != b {
+				lists[cur[c]] = b
+				cur[c]++
+			}
+		}
 	}
-	if cap(r.seen) < int(r.n) {
-		r.seen = make([]int32, r.n)
-		r.epoch = 0
+	list := func(c int32) []int32 { return lists[coff[c]:coff[c+1]] }
+	r.order = grow(r.order, cn)
+	order := r.order
+	for c := range order {
+		order[c] = int32(c)
 	}
-	st := r.seen[:r.n]
-	if cap(r.sig) < cn {
-		r.sig = make([]int32, cn)
-	}
-	sg := r.sig[:cn]
-	clear(r.setIDs)
+	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(list(x), list(y)) })
+	r.sig = grow(r.sig, cn)
+	sg := r.sig
 	next := int32(0)
-	for c := 0; c < cn; c++ {
-		r.epoch++
-		r.gather = r.gather[:0]
-		for k := ofs[c]; k < ofs[c+1]; k++ {
-			b := r.block[r.members[k]]
-			if st[b] != r.epoch {
-				st[b] = r.epoch
-				r.gather = append(r.gather, b)
-			}
+	for i, c := range order {
+		if i > 0 && !slices.Equal(list(order[i-1]), list(c)) {
+			next++
 		}
-		sort.Slice(r.gather, func(i, j int) bool { return r.gather[i] < r.gather[j] })
-		acc := int32(-1)
-		for _, b := range r.gather {
-			k := uint64(uint32(acc+1))<<32 | uint64(uint32(b))
-			id, ok := r.setIDs[k]
-			if !ok {
-				id = next
-				next++
-				r.setIDs[k] = id
-			}
-			acc = id
-		}
-		sg[c] = acc
+		sg[c] = next
 	}
-	return sg
+	return sg, next + 1
+}
+
+// splitBySigs refines the blocks by the signature of each world's class.
+// Walking the grouping classSigs left behind, each block's distinct
+// signatures get consecutive ids, so a pass that splits nothing rewrites
+// every id unchanged; a pass that splits renumbers the result by first
+// occurrence.
+func (r *refiner) splitBySigs(ids, sg []int32, nSig int32) {
+	r.loc = grow(r.loc, 2*int(nSig))
+	seen, loc := r.loc[:nSig], r.loc[nSig:]
+	fill(seen, -1)
+	next := int32(0)
+	for b := int32(0); b < r.n; b++ {
+		for _, w := range r.members[r.boff[b]:r.boff[b+1]] {
+			s := sg[ids[w]]
+			if seen[s] != b {
+				seen[s] = b
+				loc[s] = next
+				next++
+			}
+			r.block[w] = loc[s]
+		}
+	}
+	if next == r.n {
+		return
+	}
+	mk := grow(r.mark, int(next))
+	r.mark = mk
+	fill(mk, -1)
+	id := int32(0)
+	for w, t := range r.block {
+		if mk[t] < 0 {
+			mk[t] = id
+			id++
+		}
+		r.block[w] = mk[t]
+	}
+	r.n = next
 }
 
 // refine splits until a full round over all agents splits nothing.
@@ -423,26 +465,15 @@ func (r *refiner) classSigs(rel minRel) []int32 {
 // stable partition pay one confirming round instead of one round per
 // distinction the from-scratch refinement has to rediscover.
 func (r *refiner) refine() {
+	r.resolveRels()
 	for {
 		before := r.n
-		for a := 0; a < r.m.numAgents; a++ {
-			if r.rels[a].ids == nil {
+		for _, rel := range r.rels {
+			if rel.ids == nil {
 				continue
 			}
-			sg := r.classSigs(r.rels[a])
-			clear(r.pair)
-			next := int32(0)
-			for w := 0; w < r.W; w++ {
-				k := uint64(uint32(r.block[w]))<<32 | uint64(uint32(sg[r.rels[a].ids[w]]))
-				id, ok := r.pair[k]
-				if !ok {
-					id = next
-					next++
-					r.pair[k] = id
-				}
-				r.block[w] = id
-			}
-			r.n = next
+			sg, nSig := r.classSigs(rel)
+			r.splitBySigs(rel.ids, sg, nSig)
 		}
 		if r.n == before {
 			break
@@ -457,10 +488,9 @@ func (r *refiner) refine() {
 func (r *refiner) quotient() (*Model, []int) {
 	m, W := r.m, r.W
 	nB := int(r.n)
+	r.resolveRels()
 	rep := make([]int32, nB)
-	for i := range rep {
-		rep[i] = -1
-	}
+	fill(rep, -1)
 	for w := 0; w < W; w++ {
 		if rep[r.block[w]] < 0 {
 			rep[r.block[w]] = int32(w)
@@ -481,24 +511,18 @@ func (r *refiner) quotient() (*Model, []int) {
 	// classes sharing a block have equal block sets — so "same block-set
 	// id at the representative's class" is exactly the quotient partition,
 	// installed as dense ids with no union-find.
-	for a := 0; a < m.numAgents; a++ {
-		if r.rels[a].ids == nil {
+	for a, rel := range r.rels {
+		if rel.ids == nil {
 			continue // discrete stays discrete
 		}
-		sg := r.classSigs(r.rels[a])
-		// Sig ids (including the prefix ids of the pair folds) are bounded
-		// by the total block-list length, hence by W.
-		if cap(r.mark) < W {
-			r.mark = make([]int32, W)
-		}
-		mk := r.mark[:W]
-		for i := range mk {
-			mk[i] = -1
-		}
+		sg, nSig := r.classSigs(rel)
+		mk := grow(r.mark, int(nSig))
+		r.mark = mk
+		fill(mk, -1)
 		qids := make([]int32, nB)
 		next := int32(0)
 		for b := 0; b < nB; b++ {
-			s := sg[r.rels[a].ids[rep[b]]]
+			s := sg[rel.ids[rep[b]]]
 			if mk[s] < 0 {
 				mk[s] = next
 				next++

@@ -45,6 +45,9 @@ type Quotiented struct {
 // not survive minimization), and the quotient must actually shrink the
 // model (see quotientKeepRatio). Otherwise the view transparently evaluates
 // the original model — callers never need to distinguish the two cases.
+// A model with more valuation classes than the keep ratio allows (such as
+// the muddy-children models, whose worlds all differ in facts) skips
+// Minimize altogether: its quotient could never be small enough.
 func (m *Model) QuotientForEval(minWorlds int) *Quotiented {
 	if minWorlds <= 0 {
 		minWorlds = QuotientMinWorlds
@@ -52,7 +55,23 @@ func (m *Model) QuotientForEval(minWorlds int) *Quotiented {
 	if m.Temporal != nil || m.numWorlds < minWorlds {
 		return &Quotiented{orig: m, quot: m}
 	}
-	q, block := m.Minimize()
+	// Refinement only ever splits, so the valuation classes bound the
+	// quotient's size from below: past the keep ratio, Minimize cannot pay
+	// and is skipped. The bound is taken on the facts alone — a restriction
+	// seed can be finer than the coarsest quotient, since a restriction can
+	// merge worlds.
+	facts := m.factRefiner()
+	if float64(facts.n) > quotientKeepRatio*float64(m.numWorlds) {
+		return &Quotiented{orig: m, quot: m}
+	}
+	var q *Model
+	var block []int
+	if s := m.quotSeed; s != nil {
+		q, block = m.minimizeSeeded(s.ids, s.n, s.dirty)
+	} else {
+		facts.refine()
+		q, block = facts.quotient()
+	}
 	if float64(q.NumWorlds()) > quotientKeepRatio*float64(m.numWorlds) {
 		return &Quotiented{orig: m, quot: m}
 	}

@@ -1,6 +1,7 @@
 package kripke
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -135,5 +136,99 @@ func TestQuotientForEvalEpistemic(t *testing.T) {
 	}
 	if _, err := q.Eval(logic.Eev(nil, logic.P("p"))); err == nil {
 		t.Error("temporal operator did not error on the epistemic view")
+	}
+}
+
+// factClassModel returns a random model over n worlds with exactly
+// classes valuation classes (1 <= classes <= n): each world's class id is
+// spelled out in binary over fact columns f0, f1, ..., and every class is
+// used. Agent relations are random edges, dense enough that bisimilar
+// worlds are common.
+func factClassModel(rng *rand.Rand, n, classes, numAgents int) *Model {
+	class := make([]int, n)
+	for w := range class {
+		if w < classes {
+			class[w] = w
+		} else {
+			class[w] = rng.Intn(classes)
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { class[i], class[j] = class[j], class[i] })
+	m := NewModel(n, numAgents)
+	for w, c := range class {
+		for bit := 0; c>>bit > 0; bit++ {
+			if c>>bit&1 == 1 {
+				m.SetTrue(w, fmt.Sprintf("f%d", bit))
+			}
+		}
+	}
+	for a := 0; a < numAgents; a++ {
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			m.Indistinguishable(a, rng.Intn(n), rng.Intn(n))
+		}
+	}
+	return m
+}
+
+// TestQuickQuotientForEvalFactBoundExact pins the fact-class bound as
+// exact: the gated QuotientForEval, which skips Minimize when the
+// valuation classes alone exceed the keep ratio, must report the same
+// Quotiented, QuotientWorlds and Blocks as running Minimize and then the
+// ratio check — on random models, on models whose class count sits exactly
+// at and just past the keep ratio, and on the seeded submodels
+// RestrictWithQuotient produces from them.
+func TestQuickQuotientForEvalFactBoundExact(t *testing.T) {
+	reference := func(m *Model) (bool, int, []int) {
+		q, block := m.Minimize()
+		if float64(q.NumWorlds()) > quotientKeepRatio*float64(m.NumWorlds()) {
+			return false, m.NumWorlds(), nil
+		}
+		return true, q.NumWorlds(), block
+	}
+	var skipped, kept, dropped int
+	check := func(label string, m *Model) bool {
+		t.Helper()
+		wantQ, wantW, wantB := reference(m)
+		v := m.QuotientForEval(1)
+		if v.Quotiented() != wantQ || v.QuotientWorlds() != wantW || !equalInts(v.Blocks(), wantB) {
+			t.Errorf("%s: gated view (quotiented %v, %d worlds, blocks %v), want (%v, %d, %v)",
+				label, v.Quotiented(), v.QuotientWorlds(), v.Blocks(), wantQ, wantW, wantB)
+			return false
+		}
+		facts := m.factRefiner().n
+		switch {
+		case float64(facts) > quotientKeepRatio*float64(m.NumWorlds()):
+			skipped++
+		case wantQ:
+			kept++
+		default:
+			dropped++
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 * (1 + rng.Intn(12))
+		atRatio := 3 * n / 4
+		numAgents := 1 + rng.Intn(3)
+		for _, classes := range []int{atRatio, atRatio + 1, 1 + rng.Intn(n)} {
+			m := factClassModel(rng, n, classes, numAgents)
+			label := fmt.Sprintf("seed %d: %d worlds, %d fact classes", seed, n, classes)
+			if !check(label, m) {
+				return false
+			}
+			_, blocks := m.Minimize()
+			sub := m.RestrictWithQuotient(randKeep(rng, n), blocks)
+			if !check(label+", seeded restriction", sub) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+	if skipped == 0 || kept == 0 || dropped == 0 {
+		t.Errorf("paths not all exercised: %d skipped by the bound, %d kept, %d dropped after Minimize", skipped, kept, dropped)
 	}
 }

@@ -22,6 +22,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -478,11 +479,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	slices.SortFunc(ids, func(a, b string) int {
-		na, _ := strconv.Atoi(a[1:])
-		nb, _ := strconv.Atoi(b[1:])
-		return na - nb
-	})
+	slices.SortFunc(ids, compareSessionIDs)
 	out := make([]SessionState, 0, len(ids))
 	for _, id := range ids {
 		ss := s.sessions[id]
@@ -714,9 +711,7 @@ func (s *Server) SaveSessions() (string, error) {
 	}
 	s.mu.Unlock()
 	slices.SortFunc(sf.Sessions, func(a, b persistedSession) int {
-		na, _ := strconv.Atoi(a.ID[1:])
-		nb, _ := strconv.Atoi(b.ID[1:])
-		return na - nb
+		return compareSessionIDs(a.ID, b.ID)
 	})
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return "", err
@@ -808,6 +803,27 @@ func blocksEqual(a, b []int) bool {
 		return false
 	}
 	return slices.Equal(a, b)
+}
+
+// compareSessionIDs orders session ids as each incarnation minted them:
+// bare "s<n>" ids first, then boot-fenced "s<boot>-<n>" ids grouped by boot
+// stamp in string order, each group by its counter n (so "s<boot>-10"
+// follows "s<boot>-9"). Both the session listing and sessions.json use it.
+func compareSessionIDs(a, b string) int {
+	key := func(id string) (string, int64) {
+		boot, num := "", id[1:]
+		if i := strings.IndexByte(num, '-'); i >= 0 {
+			boot, num = num[:i], num[i+1:]
+		}
+		n, _ := strconv.ParseInt(num, 10, 64)
+		return boot, n
+	}
+	ba, na := key(a)
+	bb, nb := key(b)
+	if c := strings.Compare(ba, bb); c != 0 {
+		return c
+	}
+	return cmp.Compare(na, nb)
 }
 
 // validSessionID reports whether id has the server-assigned "s<digits>"

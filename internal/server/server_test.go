@@ -625,6 +625,99 @@ func TestSaveLoadSessions(t *testing.T) {
 	}
 }
 
+// TestLoadCommittedQuotientedSessions restores a sessions.json written by
+// an earlier build of knowd: quotiented r2d2, attack and scenario chains of
+// one or two announcements, plus an unquotiented muddy:8 ladder. Restore
+// replays each chain and compares the persisted block map entry for entry,
+// so every session must come back — a renumbered or re-shaped quotient
+// would orphan sessions already on disk.
+func TestLoadCommittedQuotientedSessions(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "quotiented_sessions.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf stateFile
+	if err := json.Unmarshal(data, &sf); err != nil {
+		t.Fatal(err)
+	}
+	quotiented := 0
+	for _, ps := range sf.Sessions {
+		if len(ps.Announced) == 0 {
+			t.Fatalf("fixture session %s has no announcement", ps.ID)
+		}
+		if ps.Blocks != nil {
+			quotiented++
+		}
+	}
+	if quotiented < len(sf.Sessions)-1 {
+		t.Fatalf("fixture has %d quotiented sessions of %d", quotiented, len(sf.Sessions))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "sessions.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{StateDir: dir})
+	n, err := s.LoadSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(sf.Sessions) {
+		t.Fatalf("restored %d of %d persisted sessions", n, len(sf.Sessions))
+	}
+}
+
+// TestSessionOrderWithBootID mints more than ten boot-fenced ids and
+// checks that the listing and the state file both keep minting order, so
+// "s<boot>-10" sorts after "s<boot>-9" rather than wherever a map
+// iteration put it.
+func TestSessionOrderWithBootID(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{StateDir: dir, BootID: "k3x9"})
+	var minted []string
+	for i := 0; i < 12; i++ {
+		code, body := do(t, ts, "POST", "/v1/sessions", OpenRequest{System: "muddy:2"}, "")
+		if code != http.StatusCreated {
+			t.Fatalf("open: %d: %s", code, body)
+		}
+		minted = append(minted, decode[SessionState](t, body).Session)
+	}
+	if minted[9] != "sk3x9-10" {
+		t.Fatalf("tenth id = %q, want sk3x9-10", minted[9])
+	}
+
+	code, body := do(t, ts, "GET", "/v1/sessions", nil, "")
+	if code != http.StatusOK {
+		t.Fatalf("list: %d: %s", code, body)
+	}
+	var listed []string
+	for _, st := range decode[[]SessionState](t, body) {
+		listed = append(listed, st.Session)
+	}
+	if fmt.Sprint(listed) != fmt.Sprint(minted) {
+		t.Fatalf("listing order %v, want minting order %v", listed, minted)
+	}
+
+	path, err := s.SaveSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf stateFile
+	if err := json.Unmarshal(data, &sf); err != nil {
+		t.Fatal(err)
+	}
+	var saved []string
+	for _, ps := range sf.Sessions {
+		saved = append(saved, ps.ID)
+	}
+	if fmt.Sprint(saved) != fmt.Sprint(minted) {
+		t.Fatalf("sessions.json order %v, want minting order %v", saved, minted)
+	}
+}
+
 // TestServeShutdown exercises the real listener path: serve, answer, then
 // drain — Serve returns cleanly and the state file lands on disk.
 func TestServeShutdown(t *testing.T) {

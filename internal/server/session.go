@@ -18,9 +18,12 @@ import (
 var errInconsistent = errors.New("announcement denotation is empty on the current model")
 
 // session is one client's warm announcement chain over a loaded system.
-// The PR-4 incremental machinery lives behind ld.view: every announcement
-// pays a seeded quotient re-refinement instead of a from-scratch Minimize,
-// which is exactly what makes keeping sessions warm worthwhile.
+// The chain state lives behind ld.view. While the view is quotiented
+// (attack, r2d2 and the scenario regimes), an announcement threads its
+// block map into a seeded re-refinement instead of a from-scratch
+// Minimize. An unquotiented view, such as muddy's, whose worlds all differ
+// in facts, is restricted directly and skips Minimize altogether: its
+// valuation classes alone show no quotient could pay.
 type session struct {
 	id   string
 	seed int64

@@ -23,8 +23,9 @@ type loaded struct {
 	desc   string
 	agents int
 	// view is the chain's current epistemic structure. It starts at the
-	// system's quotient-for-eval view and is replaced by Restrict on every
-	// announcement (the PR-4 incremental path: block maps threaded through).
+	// system's quotient-for-eval view and is replaced by Quotiented.Restrict
+	// on every announcement, which threads the block map through while the
+	// view is quotiented.
 	view *kripke.Quotiented
 	// pm is non-nil for runs-based systems and carries the temporal
 	// semantics hook; it matches view's world coordinates only at link 0.
