@@ -11,12 +11,15 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/attack"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/muddy"
+	"repro/internal/protocol"
+	"repro/internal/runs"
 	"repro/internal/scenario"
 )
 
@@ -194,10 +197,9 @@ func BenchmarkAblationMuddyScaling(b *testing.B) {
 // redundantChain builds a model whose bisimulation quotient is a chain of
 // `blocks` worlds (fact p marks one end; two agents alternate in pairing
 // adjacent blocks into classes), with every block blown up to `copies`
-// bisimilar copies. It is the worst case for from-scratch minimization —
-// the refinement has to walk the whole chain, one block per round, over
-// all blocks*copies worlds — and the best case for the seeded re-refinement,
-// which re-confirms the renamed old blocks in one round.
+// bisimilar copies. It is the worst case for minimization: the refinement
+// has to walk the whole chain, one block per round, over all
+// blocks*copies worlds.
 func redundantChain(blocks, copies int) *kripke.Model {
 	w := blocks * copies
 	b := kripke.NewBuilder(w, 2)
@@ -218,57 +220,39 @@ func redundantChain(blocks, copies int) *kripke.Model {
 }
 
 // Ablation: a chained sequence of announcements, re-minimizing after every
-// restriction — the announcement-chain hot path. The incremental arm
-// threads the block map through RestrictWithQuotient so each Minimize is a
-// seeded re-refinement; the from-scratch arm restricts with zero
-// inheritance and refines from the trivial partition every round.
+// restriction. No served system produces this chain; it is the synthetic
+// worst case for re-minimizing from the valuation classes at every link.
 func BenchmarkAblationChainedRestrict(b *testing.B) {
 	const blocks, copies, steps = 48, 96, 32
-	run := func(b *testing.B, incremental bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := redundantChain(blocks, copies)
-			q, blk := m.Minimize()
-			for s := 0; s < steps; s++ {
-				// Announce away the far end of the chain.
-				keep := bitset.NewFull(m.NumWorlds())
-				keep.RemoveRange(m.NumWorlds()-copies, m.NumWorlds())
-				if incremental {
-					m = m.RestrictWithQuotient(keep, blk)
-				} else {
-					m = m.RestrictOpts(keep, kripke.RestrictOptions{})
-				}
-				q, blk = m.Minimize()
-			}
-			if q.NumWorlds() != blocks-steps {
-				b.Fatalf("chain ended with a %d-world quotient, want %d", q.NumWorlds(), blocks-steps)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := redundantChain(blocks, copies)
+		q, _ := m.Minimize()
+		for s := 0; s < steps; s++ {
+			// Announce away the far end of the chain.
+			keep := bitset.NewFull(m.NumWorlds())
+			keep.RemoveRange(m.NumWorlds()-copies, m.NumWorlds())
+			m = m.Restrict(keep)
+			q, _ = m.Minimize()
+		}
+		if q.NumWorlds() != blocks-steps {
+			b.Fatalf("chain ended with a %d-world quotient, want %d", q.NumWorlds(), blocks-steps)
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-	b.Run("fromscratch", func(b *testing.B) { run(b, false) })
 }
 
-// Ablation: the muddy round loop with a per-round common-knowledge check,
-// under the incremental announcement path (joint views and reachability
-// seeds threaded through every Restrict) versus the from-scratch baseline.
+// Ablation: the muddy round loop with a per-round common-knowledge check.
 func BenchmarkAblationMuddyRoundsQuotient(b *testing.B) {
 	for _, n := range []int{10, 13} {
-		for _, mode := range []struct {
-			name string
-			inc  bool
-		}{{"incremental", true}, {"fromscratch", false}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				opts := muddy.SimOptions{Incremental: mode.inc, TrackCommon: true}
-				muddySet := []int{0, 1, 2}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := muddy.SimulateOpts(n, muddySet, muddy.PublicAnnouncement, 5, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			opts := muddy.SimOptions{TrackCommon: true}
+			muddySet := []int{0, 1, 2}
+			for i := 0; i < b.N; i++ {
+				if _, err := muddy.SimulateOpts(n, muddySet, muddy.PublicAnnouncement, 5, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -352,11 +336,9 @@ func BenchmarkAblationBatchEval(b *testing.B) {
 	}
 }
 
-// Ablation: the fault-injected scenario sweep's announcement ladder with
-// the incremental chain machinery (seeded quotient re-refinement threaded
-// through each restriction) versus from-scratch restriction. The system is
-// sampled once — the ablation measures the epistemic replay, not the
-// simulation.
+// Ablation: the fault-injected scenario sweep's announcement ladder. The
+// system is sampled once — the ablation measures the epistemic replay, not
+// the simulation.
 func BenchmarkAblationScenarioSweep(b *testing.B) {
 	p := scenario.Params{Seed: 1}
 	rg, err := scenario.RegimeByKey(p, "bounded")
@@ -367,38 +349,26 @@ func BenchmarkAblationScenarioSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"incremental", true}, {"scratch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				steps, err := built.Ladder(p, mode.incremental)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(steps) == 0 {
-					b.Fatal("empty ladder")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steps, err := built.Ladder(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(steps) == 0 {
+			b.Fatal("empty ladder")
+		}
 	}
 }
 
 // Ablation: the gossip revelation chain — tens of public call revelations
 // over a hundreds-of-worlds deviation universe, re-minimizing and
-// batch-evaluating the verdict tower after every link. The incremental arm
-// threads quotient block maps and reachability seeds through
-// RestrictWithQuotient; the scratch arm restricts with zero inheritance and
-// refines from the trivial partition every link. Unlike the redundantChain
-// workload, a deviation universe has a near-trivial quotient (synchronous
-// perfect recall makes almost every world its own block), so the two arms
-// are expected to run close together: this ablation pins the overhead of
-// threading inheritance through a workload it cannot compress, and the CI
-// gate guards each arm against regressions separately. Universe sampling
-// and model construction run inside the loop on both arms, mirroring how
-// gossipsim consumes a chain.
+// batch-evaluating the verdict tower after every link. A deviation
+// universe has a near-trivial quotient (synchronous perfect recall makes
+// almost every world its own block). Universe sampling and model
+// construction run inside the loop, mirroring how gossipsim consumes a
+// chain.
 func BenchmarkAblationGossipChain(b *testing.B) {
 	const calls = "ab.cd.ef.ac.be.df.ae.bf.cd.ab.ce.df.ad.bc.ef.af.bd.ce.ab.cf.de.ac.bd.ef"
 	const agents, perLink = 6, 12
@@ -406,25 +376,18 @@ func BenchmarkAblationGossipChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"incremental", true}, {"scratch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				u := gossip.SampleDeviations(gossip.Any, agents, actual, perLink, 1)
-				m := u.Model()
-				res, err := m.RevealChain(actual, gossip.ChainOptions{Incremental: mode.inc, Workers: 1, Depth: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last := res.Steps[len(res.Steps)-1]
-				if last.Worlds != 1 || !last.Common {
-					b.Fatalf("chain should end on the actual world alone with C attained, got %+v", last)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u := gossip.SampleDeviations(gossip.Any, agents, actual, perLink, 1)
+		m := u.Model()
+		res, err := m.RevealChain(actual, gossip.ChainOptions{Workers: 1, Depth: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		last := res.Steps[len(res.Steps)-1]
+		if last.Worlds != 1 || !last.Common {
+			b.Fatalf("chain should end on the actual world alone with C attained, got %+v", last)
+		}
 	}
 }
 
@@ -467,6 +430,70 @@ func BenchmarkServedAnnounceChain(b *testing.B) {
 				}
 				if view.NumWorlds() != 1 {
 					b.Fatalf("ladder ended on %d worlds, want 1", view.NumWorlds())
+				}
+			}
+		})
+	}
+}
+
+// The kernel stage of one served announce on a quotiented session: what
+// knowd's announce handler does with the session's view (evaluate the
+// announced formula, restrict the original model to its denotation and
+// take a fresh quotient-for-eval view), on the first link of the systems
+// whose views are quotiented — attack announcing del1, r2d2 and
+// scenario:bounded announcing sent — built as knowd's loadSystem builds
+// them. Building the system and its initial view is left out.
+func BenchmarkServedQuotientedAnnounce(b *testing.B) {
+	never := func(protocol.LocalView) bool { return false }
+	systems := []struct {
+		name, formula string
+		pm            func() (*runs.PointModel, error)
+	}{
+		{"attack/del1", attack.DeliveredProp(1), func() (*runs.PointModel, error) {
+			s, err := attack.Build(4, 10)
+			if err != nil {
+				return nil, err
+			}
+			return s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never)), nil
+		}},
+		{"r2d2/sent", "sent", func() (*runs.PointModel, error) {
+			return core.R2D2Chain(6, 9).Model(runs.CompleteHistoryView, runs.Interpretation{
+				"sent": runs.StablyTrue(runs.SentBy("m")),
+			}), nil
+		}},
+		{"scenario:bounded/sent", scenario.SentProp, func() (*runs.PointModel, error) {
+			p := scenario.Params{Seed: 1}
+			rg, err := scenario.RegimeByKey(p, "bounded")
+			if err != nil {
+				return nil, err
+			}
+			built, err := scenario.Build(p, rg)
+			if err != nil {
+				return nil, err
+			}
+			return built.PM, nil
+		}},
+	}
+	for _, sys := range systems {
+		b.Run(sys.name, func(b *testing.B) {
+			pm, err := sys.pm()
+			if err != nil {
+				b.Fatal(err)
+			}
+			view := pm.EpistemicQuotient(1)
+			if !view.Quotiented() {
+				b.Fatalf("%s: the served view is not quotiented", sys.name)
+			}
+			f := logic.P(sys.formula)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				keep, err := view.Eval(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if next := view.Restrict(keep, 1); next.NumWorlds() == 0 {
+					b.Fatalf("%s: announcement left no world", sys.name)
 				}
 			}
 		})

@@ -4,9 +4,7 @@
 // Corollary 6 / Proposition 10 rule searches, and replays the message
 // chain as a public-announcement chain ("at least d messages were
 // delivered"), showing the knowledge the announcement creates that the
-// channel itself cannot. -incremental=false forces the chain onto the
-// from-scratch restriction path (the ablation baseline); -chain=false
-// skips the replay.
+// channel itself cannot; -chain=false skips the replay.
 //
 // -inject switches the system from exhaustive channel branching to the
 // seeded fault-injection engine: message losses are drawn from a fault
@@ -46,8 +44,6 @@ func run(args []string) error {
 	budget := fs.Int("budget", 4, "maximum handshake messages per run")
 	horizon := fs.Int("horizon", 10, "observation horizon (ticks)")
 	chain := fs.Bool("chain", true, "replay the delivery announcement chain")
-	incremental := fs.Bool("incremental", true,
-		"thread quotient block maps and reachability seeds through the chain's restrictions; false forces the from-scratch ablation path")
 	seed := fs.Int64("seed", 1, "fault-plan seed for -inject; equal seeds reproduce the output byte for byte")
 	inject := fs.Float64("inject", 0,
 		"sample the handshake under a fault plan with this drop probability instead of exhaustive channel branching (0 = exhaustive)")
@@ -116,7 +112,7 @@ func run(args []string) error {
 	fmt.Printf("\nC intent holds at %d of %d points\n", set.Count(), pm.NumWorlds())
 
 	if *chain {
-		if err := replayChain(s, *incremental, kripke.WorkersFromFlag(*parallel)); err != nil {
+		if err := replayChain(s, kripke.WorkersFromFlag(*parallel)); err != nil {
 			return err
 		}
 	}
@@ -139,16 +135,12 @@ func run(args []string) error {
 
 // replayChain runs the delivery announcement chain on the all-delivered
 // run and prints one row per link.
-func replayChain(s *attack.System, incremental bool, workers int) error {
+func replayChain(s *attack.System, workers int) error {
 	never := func(protocol.LocalView) bool { return false }
 	pm := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
 	best := s.BestChainRun()
-	mode := "incremental"
-	if !incremental {
-		mode = "from-scratch"
-	}
-	fmt.Printf("\ndelivery announcement chain (run %s, %s restrictions):\n", best, mode)
-	steps, err := s.ReplayDeliveryChain(pm, best, incremental, kripke.BatchWorkers(workers))
+	fmt.Printf("\ndelivery announcement chain (run %s):\n", best)
+	steps, err := s.ReplayDeliveryChain(pm, best, kripke.BatchWorkers(workers))
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,6 @@
 // public revelation chain: link t announces the t-th call, the verdict
 // tower is batch-evaluated per link, and the printed rows show common
 // knowledge arriving only as the private call sequence becomes public.
-// -incremental=false forces the chain onto the from-scratch restriction
-// path (the ablation baseline); verdicts are identical either way.
 //
 // Usage:
 //
@@ -54,8 +52,6 @@ func run(args []string) error {
 	calls := fs.String("calls", "",
 		"sequence for -reveal (e.g. ab.cd.ac.bd); empty uses the expert witness from the table")
 	perLink := fs.Int("perlink", 8, "sampled deviations per revealed call in the -reveal universe")
-	incremental := fs.Bool("incremental", true,
-		"thread quotient block maps and reachability seeds through the chain's restrictions; false forces the from-scratch ablation path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -92,13 +88,13 @@ func run(args []string) error {
 	if !*reveal {
 		return nil
 	}
-	return replay(table, convs[0], *calls, *perLink, *incremental, workers)
+	return replay(table, convs[0], *calls, *perLink, workers)
 }
 
 // replay prints the revelation chain of one convention: the actual
 // sequence (the table's expert witness unless -calls overrides it) on a
 // deviation-sampled universe.
-func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink int, incremental bool, workers int) error {
+func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink int, workers int) error {
 	p := table.P
 	var seq gossip.Sequence
 	if calls != "" {
@@ -121,16 +117,12 @@ func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink i
 	}
 	u := gossip.SampleDeviations(conv, p.N, seq, perLink, p.Seed)
 	m := u.Model()
-	res, err := m.RevealChain(seq, gossip.ChainOptions{Incremental: incremental, Workers: workers})
+	res, err := m.RevealChain(seq, gossip.ChainOptions{Workers: workers})
 	if err != nil {
 		return err
 	}
-	mode := "incremental"
-	if !incremental {
-		mode = "from-scratch"
-	}
-	fmt.Printf("\nrevelation chain (conv %s, sequence %s, %d worlds, %s restrictions):\n",
-		conv.Key(), seq, len(u.Seqs), mode)
+	fmt.Printf("\nrevelation chain (conv %s, sequence %s, %d worlds):\n",
+		conv.Key(), seq, len(u.Seqs))
 	fmt.Printf("%-5s %-5s %-7s %-7s %-8s %-7s\n", "link", "call", "worlds", "blocks", "E-depth", "common")
 	for _, st := range res.Steps {
 		fmt.Printf("%-5d %-5s %-7d %-7d %-8d %-7v\n", st.Link, st.Call, st.Worlds, st.Blocks, st.EDepth, st.Common)

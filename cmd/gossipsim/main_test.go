@@ -8,7 +8,7 @@ func TestRunModes(t *testing.T) {
 		{"-seed", "1", "-n", "3", "-maxcalls", "3", "-conv", "all", "-parallel", "0"},
 		{"-seed", "1", "-n", "4", "-maxcalls", "4", "-conv", "lns", "-reveal", "-perlink", "4"},
 		{"-seed", "1", "-n", "4", "-maxcalls", "4", "-conv", "co", "-reveal",
-			"-calls", "ab.cd.ac.bd", "-incremental=false", "-parallel", "2"},
+			"-calls", "ab.cd.ac.bd", "-parallel", "2"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)

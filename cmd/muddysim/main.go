@@ -9,9 +9,7 @@
 // (a 262144-world model); each round reports how long the children's
 // knowledge checks took (eval) versus applying the resulting public
 // announcement (build), making the construction/evaluation split of the
-// model checker visible from the command line. -incremental=false forces
-// every round's restriction onto the from-scratch path (the ablation
-// baseline for the incremental announcement chain); -common checks common
+// model checker visible from the command line. -common checks common
 // knowledge of m after every round; -parallel controls the worker pool
 // that fans each round's n per-child knowledge checks out over the shared
 // round model (-parallel=0 forces the serial loop, <0 uses one worker per
@@ -51,8 +49,6 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 0, "round budget (default n+2)")
 	timing := fs.Bool("time", true, "print per-round build vs eval timing")
 	quotient := fs.Bool("quotient", false, "report the bisimulation quotient of the initial model")
-	incremental := fs.Bool("incremental", true,
-		"thread derived state (joint views, reachability seeds) through each round's announcement; false forces the from-scratch ablation path")
 	trackCommon := fs.Bool("common", false, "check common knowledge of m after every round")
 	parallel := fs.Int("parallel", -1,
 		"workers for the per-round knowledge batch: <0 = one per core, 0 = serial, n = n workers")
@@ -125,13 +121,9 @@ func run(args []string) error {
 		}
 	}
 	res, err := muddy.SimulateOpts(*n, muddySet, m, budget,
-		muddy.SimOptions{Incremental: *incremental, TrackCommon: *trackCommon,
-			Parallel: kripke.WorkersFromFlag(*parallel)})
+		muddy.SimOptions{TrackCommon: *trackCommon, Parallel: kripke.WorkersFromFlag(*parallel)})
 	if err != nil {
 		return err
-	}
-	if !*incremental {
-		fmt.Println("announcements: from-scratch restriction (ablation path)")
 	}
 	if *timing {
 		fmt.Printf("model build (2^%d worlds + announcement): %v\n", *n, res.BuildTime)

@@ -11,8 +11,7 @@
 // -ladder additionally replays the delivery announcement chain on one
 // regime's epistemic structure ("at least d messages were delivered"),
 // showing the knowledge the public announcements create that the faulty
-// channel itself cannot; -incremental=false forces the chain onto the
-// from-scratch restriction path (the ablation baseline).
+// channel itself cannot.
 //
 // Usage:
 //
@@ -56,8 +55,6 @@ func run(args []string) error {
 		"evaluation workers per regime (0 forces the serial loop, <0 uses one worker per core)")
 	ladder := fs.String("ladder", "",
 		"replay the delivery announcement chain on this regime (e.g. bounded); empty skips")
-	incremental := fs.Bool("incremental", true,
-		"thread quotient block maps and reachability seeds through the ladder's restrictions; false forces the from-scratch ablation path")
 	recovery := fs.Bool("recovery", false,
 		"model-check post-recovery knowledge around every sampled crash window of the crash regime")
 	if err := fs.Parse(args); err != nil {
@@ -108,7 +105,7 @@ func run(args []string) error {
 	}
 
 	if *ladder != "" {
-		if err := replayLadder(p, *ladder, *incremental); err != nil {
+		if err := replayLadder(p, *ladder); err != nil {
 			return err
 		}
 	}
@@ -144,7 +141,7 @@ func printRecovery(p scenario.Params) error {
 
 // replayLadder rebuilds one regime and prints its delivery announcement
 // chain, one row per announced lower bound.
-func replayLadder(p scenario.Params, key string, incremental bool) error {
+func replayLadder(p scenario.Params, key string) error {
 	rg, err := scenario.RegimeByKey(p, key)
 	if err != nil {
 		return err
@@ -153,16 +150,12 @@ func replayLadder(p scenario.Params, key string, incremental bool) error {
 	if err != nil {
 		return err
 	}
-	steps, err := b.Ladder(p, incremental)
+	steps, err := b.Ladder(p)
 	if err != nil {
 		return err
 	}
-	mode := "incremental"
-	if !incremental {
-		mode = "from-scratch"
-	}
-	fmt.Printf("\nannouncement ladder (regime %s, witness %s, t*=%d, %s restrictions):\n",
-		rg.Key, b.Witness.Name, b.TStar, mode)
+	fmt.Printf("\nannouncement ladder (regime %s, witness %s, t*=%d):\n",
+		rg.Key, b.Witness.Name, b.TStar)
 	fmt.Printf("%-14s %-10s %-10s %-8s\n", "announcement", "points", "E-depth", "C sent")
 	for _, st := range steps {
 		fmt.Printf("del >= %-7d %-10d %-10d %-8v\n", st.Deliveries, st.Points, st.EDepth, st.Common)

@@ -377,16 +377,14 @@ type ChainStep struct {
 // alternating-knowledge depth of the intent and whether it has become
 // common knowledge at the marked point (runName at the horizon). The chain
 // stops before the first announcement that would be untruthful there.
-// incremental selects the seeded restriction path of runs.Chain; the
-// verdicts are identical either way (pinned by the package tests), only
-// the per-link cost differs. Trailing kripke.BatchOptions (e.g.
-// kripke.BatchWorkers) configure each link's batch evaluation.
-func (s *System) ReplayDeliveryChain(pm *runs.PointModel, runName string, incremental bool, opts ...kripke.BatchOption) ([]ChainStep, error) {
+// Trailing kripke.BatchOptions (e.g. kripke.BatchWorkers) configure each
+// link's batch evaluation.
+func (s *System) ReplayDeliveryChain(pm *runs.PointModel, runName string, opts ...kripke.BatchOption) ([]ChainStep, error) {
 	w, err := pm.WorldOf(runName, s.Sys.Horizon)
 	if err != nil {
 		return nil, err
 	}
-	ch := pm.Chain(1, incremental)
+	ch := pm.Chain(1)
 	ch.Mark(w)
 	g := logic.NewGroup(GeneralA, GeneralB)
 	var steps []ChainStep

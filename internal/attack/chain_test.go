@@ -31,7 +31,7 @@ func TestReplayDeliveryChainDeepensKnowledge(t *testing.T) {
 	never := func(protocol.LocalView) bool { return false }
 	pm := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
 
-	steps, err := s.ReplayDeliveryChain(pm, bestRun(t, s), true)
+	steps, err := s.ReplayDeliveryChain(pm, bestRun(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,33 +56,6 @@ func TestReplayDeliveryChainDeepensKnowledge(t *testing.T) {
 				st.Deliveries)
 		}
 		prevDepth, prevPoints = st.Depth, st.Points
-	}
-}
-
-// TestReplayDeliveryChainIncrementalMatchesScratch pins the incremental
-// chain path to the from-scratch one, step for step.
-func TestReplayDeliveryChainIncrementalMatchesScratch(t *testing.T) {
-	s := build(t, 4, 10)
-	never := func(protocol.LocalView) bool { return false }
-	run := bestRun(t, s)
-
-	pmInc := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
-	inc, err := s.ReplayDeliveryChain(pmInc, run, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pmScr := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
-	scr, err := s.ReplayDeliveryChain(pmScr, run, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inc) != len(scr) {
-		t.Fatalf("incremental chain has %d links, from-scratch %d", len(inc), len(scr))
-	}
-	for i := range inc {
-		if inc[i] != scr[i] {
-			t.Errorf("link %d diverged: incremental %+v, from-scratch %+v", i+1, inc[i], scr[i])
-		}
 	}
 }
 

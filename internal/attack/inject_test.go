@@ -114,11 +114,11 @@ func TestInjectedChainReplayParallelMatchesSerial(t *testing.T) {
 	never := func(protocol.LocalView) bool { return false }
 	pm := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
 	best := s.BestChainRun()
-	serial, err := s.ReplayDeliveryChain(pm, best, true)
+	serial, err := s.ReplayDeliveryChain(pm, best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := s.ReplayDeliveryChain(pm, best, true, kripke.BatchWorkers(0))
+	par, err := s.ReplayDeliveryChain(pm, best, kripke.BatchWorkers(0))
 	if err != nil {
 		t.Fatal(err)
 	}

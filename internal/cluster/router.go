@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/faults"
-	"repro/internal/loadgen"
+	"repro/internal/hist"
 	"repro/internal/server"
 )
 
@@ -105,7 +105,7 @@ func (cs *csession) placementLocked() placement {
 type shardMetrics struct {
 	requests int64
 	errs     int64
-	hist     loadgen.Hist
+	hist     hist.Hist
 }
 
 // Router fronts the shard fleet. Create with New, serve via Serve or

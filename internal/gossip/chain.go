@@ -7,15 +7,8 @@ import (
 	"repro/internal/kripke"
 )
 
-// ChainOptions selects how a revelation chain executes. The zero value is
-// the from-scratch ablation baseline with a serial evaluator.
+// ChainOptions selects how a revelation chain executes.
 type ChainOptions struct {
-	// Incremental threads Minimize block maps, joint views and
-	// reachability seeds through every restriction (the PR 4/5 chain
-	// machinery); false restricts with zero inheritance and re-minimizes
-	// from the trivial partition — the ablation baseline. Verdicts and
-	// block maps are byte-identical either way.
-	Incremental bool
 	// Workers is the EvalBatch worker count per link (0 = the batch
 	// default, 1 = the serial loop, <0 = one per core).
 	Workers int
@@ -41,13 +34,9 @@ type ChainStep struct {
 	Common bool
 }
 
-// ChainResult carries the per-link verdicts of a revelation chain plus the
-// Minimize block maps threaded through it (index 0 is the unrestricted
-// model's map) — the parity surface the incremental-vs-scratch property
-// test pins byte for byte.
+// ChainResult carries the per-link verdicts of a revelation chain.
 type ChainResult struct {
-	Steps     []ChainStep
-	BlockMaps [][]int
+	Steps []ChainStep
 }
 
 // RevealChain replays the actual sequence as a public announcement chain
@@ -79,8 +68,7 @@ func (m *Model) RevealChain(actual Sequence, opts ChainOptions) (*ChainResult, e
 		alive[i] = i
 	}
 	cur := m.M
-	_, blk := cur.Minimize()
-	res := &ChainResult{BlockMaps: [][]int{append([]int(nil), blk...)}}
+	res := &ChainResult{}
 	for t, c := range actual {
 		keep := bitset.New(cur.NumWorlds())
 		next := make([]int, 0, len(alive))
@@ -97,14 +85,9 @@ func (m *Model) RevealChain(actual Sequence, opts ChainOptions) (*ChainResult, e
 		if newMarked < 0 {
 			return nil, fmt.Errorf("gossip: revelation %d eliminated the actual world", t+1)
 		}
-		if opts.Incremental {
-			cur = cur.RestrictWithQuotient(keep, blk)
-		} else {
-			cur = cur.RestrictOpts(keep, kripke.RestrictOptions{})
-		}
+		cur = cur.Restrict(keep)
 		alive, marked = next, newMarked
-		q, nblk := cur.Minimize()
-		blk = nblk
+		q, _ := cur.Minimize()
 		sets, err := cur.EvalBatch(fs, kripke.BatchWorkers(opts.Workers))
 		if err != nil {
 			return nil, err
@@ -118,7 +101,6 @@ func (m *Model) RevealChain(actual Sequence, opts ChainOptions) (*ChainResult, e
 		}
 		step.Common = sets[depth+1].Contains(marked)
 		res.Steps = append(res.Steps, step)
-		res.BlockMaps = append(res.BlockMaps, append([]int(nil), blk...))
 	}
 	return res, nil
 }

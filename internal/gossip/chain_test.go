@@ -18,43 +18,16 @@ func chainFixture(t *testing.T, conv Convention, seed int64) (*Model, Sequence) 
 	return u.Model(), actual
 }
 
-// TestRevealChainParity pins the tentpole property: the incremental
-// restriction path (threaded quotient block maps and reachability seeds)
-// and the from-scratch path produce byte-identical chains — every per-link
-// verdict and every Minimize block map — across seeds and conventions.
-func TestRevealChainParity(t *testing.T) {
-	for _, conv := range Conventions() {
-		for seed := int64(1); seed <= 3; seed++ {
-			m, actual := chainFixture(t, conv, seed)
-			inc, err := m.RevealChain(actual, ChainOptions{Incremental: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			scr, err := m.RevealChain(actual, ChainOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(inc.Steps, scr.Steps) {
-				t.Fatalf("%s seed %d: incremental and scratch verdicts differ:\ninc: %+v\nscr: %+v",
-					conv.Key(), seed, inc.Steps, scr.Steps)
-			}
-			if !reflect.DeepEqual(inc.BlockMaps, scr.BlockMaps) {
-				t.Fatalf("%s seed %d: incremental and scratch block maps differ", conv.Key(), seed)
-			}
-		}
-	}
-}
-
 // TestRevealChainWorkerDeterminism pins the chain result across worker
 // counts (serial, two workers, one per core).
 func TestRevealChainWorkerDeterminism(t *testing.T) {
 	m, actual := chainFixture(t, LNS, 1)
-	base, err := m.RevealChain(actual, ChainOptions{Incremental: true, Workers: 1})
+	base, err := m.RevealChain(actual, ChainOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, -1} {
-		got, err := m.RevealChain(actual, ChainOptions{Incremental: true, Workers: workers})
+		got, err := m.RevealChain(actual, ChainOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,15 +43,12 @@ func TestRevealChainWorkerDeterminism(t *testing.T) {
 // uncertainty until its last divergence is eliminated.
 func TestRevealChainConverges(t *testing.T) {
 	m, actual := chainFixture(t, CO, 1)
-	res, err := m.RevealChain(actual, ChainOptions{Incremental: true})
+	res, err := m.RevealChain(actual, ChainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Steps) != len(actual) {
 		t.Fatalf("chain has %d links, want %d", len(res.Steps), len(actual))
-	}
-	if len(res.BlockMaps) != len(actual)+1 {
-		t.Fatalf("chain has %d block maps, want %d", len(res.BlockMaps), len(actual)+1)
 	}
 	last := res.Steps[len(res.Steps)-1]
 	if last.Worlds != 1 || last.Blocks != 1 || !last.Common {

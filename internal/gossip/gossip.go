@@ -14,10 +14,9 @@
 // equivalent for agent a exactly when a took part in the same calls, at the
 // same positions, with the same peers and the same exchanged secret sets
 // (synchronous perfect recall). Executing a call sequence then turns into
-// an incremental announcement chain: revealing the calls one link at a time
-// restricts the model, with Minimize block maps and reachability seeds
-// threaded link to link through kripke.RestrictWithQuotient, and the
-// verdict tower batch-evaluated per link via EvalBatch.
+// a public announcement chain: revealing the calls one link at a time
+// restricts the model, which is minimized and has its verdict tower
+// batch-evaluated per link via EvalBatch.
 //
 // The private channel itself never creates common knowledge — the paper's
 // central obstruction — while the revelation chain shows C arriving only as

@@ -1,7 +1,11 @@
-package loadgen
+// Package hist is the log-bucketed latency histogram shared by the load
+// generator (per-op-type latencies) and the router (per-shard upstream
+// latencies).
+package hist
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -47,7 +51,9 @@ func (h *Hist) Count() uint64 { return h.count }
 func (h *Hist) Max() time.Duration { return h.max }
 
 // Quantile returns the upper bound of the bucket containing the q-th
-// observation (0 < q <= 1); zero when the histogram is empty.
+// observation (0 < q <= 1); zero when the histogram is empty. The q-th
+// observation is the nearest rank ⌈q·n⌉, so at least a q share of the
+// observations lie at or below the reported bound.
 func (h *Hist) Quantile(q float64) time.Duration {
 	if h.count == 0 {
 		return 0
@@ -58,7 +64,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.count))
+	rank := nearestRank(q, h.count)
 	if rank == 0 {
 		rank = 1
 	}
@@ -80,4 +86,15 @@ func (h *Hist) Quantile(q float64) time.Duration {
 func (h *Hist) String() string {
 	return fmt.Sprintf("n=%d p50<=%v p90<=%v p99<=%v max=%v",
 		h.count, h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.max)
+}
+
+// nearestRank is ⌈q·n⌉, except that a product within float rounding of an
+// integer counts as that integer: 0.07·100 evaluates to 7.000000000000001,
+// and its rank is 7, not 8.
+func nearestRank(q float64, n uint64) uint64 {
+	x := q * float64(n)
+	if r := math.Round(x); math.Abs(x-r) <= 1e-9*x {
+		return uint64(r)
+	}
+	return uint64(math.Ceil(x))
 }

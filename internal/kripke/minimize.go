@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
-	"repro/internal/unionfind"
 )
 
 // Minimize returns the bisimulation quotient of the model: the smallest
@@ -23,12 +22,6 @@ import (
 // mark tables — the same columnar machinery the Builder and Restrict use —
 // with no maps and no string signatures.
 //
-// On a model produced by RestrictWithQuotient, Minimize re-refines
-// incrementally from the renamed pre-announcement blocks instead of the
-// trivial partition (see minimizeSeeded); the result — including the block
-// numbering — is identical to the from-scratch computation, so callers
-// never need to distinguish the two paths.
-//
 // # The block-map contract
 //
 // The returned slice ("block map") has exactly NumWorlds entries; entry w
@@ -45,15 +38,6 @@ import (
 // hook is not carried over; minimize only models whose formulas are free
 // of the run-based operators.
 func (m *Model) Minimize() (*Model, []int) {
-	if s := m.quotSeed; s != nil {
-		return m.minimizeSeeded(s.ids, s.n, s.dirty)
-	}
-	return m.minimizeScratch()
-}
-
-// minimizeScratch is Minimize starting from the trivial partition: one
-// block, split by every fact column, then refined to stability.
-func (m *Model) minimizeScratch() (*Model, []int) {
 	if m.numWorlds == 0 {
 		return NewModel(0, m.numAgents), []int{}
 	}
@@ -62,169 +46,11 @@ func (m *Model) minimizeScratch() (*Model, []int) {
 	return r.quotient()
 }
 
-// minimizeSeeded is Minimize re-refining from a seed partition — in the
-// announcement-chain use, the pre-announcement block map renamed over the
-// kept worlds by RestrictWithQuotient. The seed is first split by the fact
-// columns (a no-op for true renamed block maps, which are fact-uniform,
-// but it keeps arbitrary seeds sound) and then refined to stability, which
-// yields the coarsest *stable refinement of the seed* — a bisimulation,
-// but possibly finer than the true coarsest one: a restriction usually
-// only splits blocks, yet it can also merge worlds that were previously
-// distinguished only through removed worlds. To stay exact, the
-// intermediate quotient — already small — is minimized once more, and the
-// two block maps are composed. That second "compose" pass is bounded by
-// the quotient size, never the world count, which is what makes the
-// seeded path pay on redundant models; when the restriction recorded
-// touched-block flags (dirty, non-nil only for declared-exact seeds), the
-// pass is further narrowed to the disturbed region — or skipped outright
-// when no block was disturbed (see composeQuotient). When something did
-// merge, the composed partition is rebuilt into a quotient of m directly,
-// so names, representatives and numbering follow the Minimize contract
-// either way.
-func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, []int) {
-	if m.numWorlds == 0 {
-		return NewModel(0, m.numAgents), []int{}
-	}
-	r := m.newRefiner(seed, int32(nSeed))
-	r.splitByFacts()
-	r.refine()
-	q1, b1 := r.quotient()
-	q2, b2, exact := q1.composeQuotient(seed, b1, dirty)
-	if exact {
-		return q1, b1
-	}
-	if q2.numWorlds == q1.numWorlds {
-		return q1, b1
-	}
-	comp := make([]int32, m.numWorlds)
-	for w := range comp {
-		comp[w] = int32(b2[b1[w]])
-	}
-	// comp is the coarsest bisimulation of m (stable by construction), and
-	// composing two first-occurrence-dense maps is first-occurrence dense,
-	// so the quotient tail applies directly with no further refinement.
-	r2 := m.newRefiner(comp, int32(q2.numWorlds))
-	return r2.quotient()
-}
-
-// composeQuotient runs minimizeSeeded's merge-finding pass on the
-// intermediate quotient q1 (the stable refinement of the seed). Without
-// touched-block flags it is a full from-scratch Minimize of q1. With them
-// it exploits two facts:
-//
-//   - No dirty block at all means no kept world's view class lost a world
-//     anywhere, so every world's modal environment — and hence its
-//     bisimilarity class — is untouched: the restriction cannot have
-//     merged anything and q1 is already exact (reported via exact=true).
-//   - Otherwise, merges are confined to the disturbed region: a block
-//     whose connected component (under the union of all agents' classes)
-//     contains no dirty block sits in a sub-model identical to its
-//     pre-announcement counterpart, so two such blocks that the exact seed
-//     distinguished stay distinguished. Any merged pair therefore has a
-//     member in a disturbed component — and its partners share that
-//     member's fact signature. Grouping exactly the blocks that are in a
-//     disturbed component or share a fact signature with one (coarser than
-//     the true quotient, by the above) and refining to stability yields
-//     the coarsest bisimulation while leaving every clean block a
-//     singleton the refinement never has to walk.
-//
-// The dirty flags are sound only for seeds that were the parent model's
-// own coarsest quotient (RestrictOptions.SeedBlocksExact); arbitrary seeds
-// come through with dirty == nil and take the full pass.
-func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, []int, bool) {
-	if dirty == nil {
-		q2, b2 := q1.minimizeScratch()
-		return q2, b2, false
-	}
-	// Map each q1 block to its seed block's dirty flag via the block's
-	// representative (the smallest member, by the block-map contract).
-	nB := q1.numWorlds
-	blockDirty := make([]bool, nB)
-	repSeen := make([]bool, nB)
-	anyDirty := false
-	for w, b := range b1 {
-		if !repSeen[b] {
-			repSeen[b] = true
-			blockDirty[b] = dirty[seed[w]]
-			anyDirty = anyDirty || blockDirty[b]
-		}
-	}
-	if !anyDirty {
-		return nil, nil, true // nothing disturbed: no merge is possible
-	}
-	// Connected components of q1 under the union of all agents' classes.
-	d := unionfind.New(nB)
-	var first []int32
-	for a := 0; a < q1.numAgents; a++ {
-		ids, n := q1.relIDs(a)
-		if ids == nil {
-			continue
-		}
-		if cap(first) < n {
-			first = make([]int32, n)
-		}
-		f := first[:n]
-		for i := range f {
-			f[i] = -1
-		}
-		for w, id := range ids {
-			if f[id] < 0 {
-				f[id] = int32(w)
-			} else {
-				d.Union(int(f[id]), w)
-			}
-		}
-	}
-	compDirty := make([]bool, nB)
-	for b := 0; b < nB; b++ {
-		if blockDirty[b] {
-			compDirty[d.Find(b)] = true
-		}
-	}
-	// Fact signature of each q1 block: the split Minimize itself starts with.
-	facts := q1.factRefiner()
-	factSig, nSig := facts.block, facts.n
-	// The disturbed region: blocks in dirty components seed it, and any
-	// block sharing a fact signature with one joins (a merge partner has
-	// equal facts, so the signature closure catches it).
-	sigDirty := make([]bool, nSig)
-	for b := 0; b < nB; b++ {
-		if compDirty[d.Find(b)] {
-			sigDirty[factSig[b]] = true
-		}
-	}
-	// Hypothesis partition: disturbed blocks grouped by fact signature,
-	// clean blocks as singletons, numbered by first occurrence. It is
-	// coarser than the true quotient, so refining it to stability lands
-	// exactly there — walking only the disturbed groups.
-	hIDs := make([]int32, nB)
-	sigClass := make([]int32, nSig)
-	fill(sigClass, -1)
-	next := int32(0)
-	for b := 0; b < nB; b++ {
-		if sigDirty[factSig[b]] {
-			if sigClass[factSig[b]] < 0 {
-				sigClass[factSig[b]] = next
-				next++
-			}
-			hIDs[b] = sigClass[factSig[b]]
-		} else {
-			hIDs[b] = next
-			next++
-		}
-	}
-	// hIDs already refines the fact split, so refinement starts right away.
-	r := q1.newRefiner(hIDs, next)
-	r.refine()
-	q2, b2 := r.quotient()
-	return q2, b2, false
-}
-
 // refiner is one partition-refinement run over a model: the current block
 // ids, the resolved agent relations, and every piece of reusable scratch
-// the split and signature passes need. Minimize (from scratch or seeded)
-// builds one, refines to stability, and materializes the quotient. All
-// interning is by counting sorts and mark tables over dense ids; no maps.
+// the split and signature passes need. Minimize builds one, refines to
+// stability, and materializes the quotient. All interning is by counting
+// sorts and mark tables over dense ids; no maps.
 type refiner struct {
 	m     *Model
 	W     int
@@ -269,33 +95,10 @@ func fill(s []int32, v int32) {
 	}
 }
 
-// newRefiner prepares a refinement run starting from the given seed
-// partition (renumbered to dense first-occurrence ids; seed ids must lie
-// in [0, nSeed)). A nil seed starts from the trivial one-block partition.
-func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
-	r := &refiner{m: m, W: m.numWorlds, block: make([]int32, m.numWorlds)}
-	if seed == nil {
-		r.n = 1
-		return r
-	}
-	mk := make([]int32, nSeed)
-	fill(mk, -1)
-	next := int32(0)
-	for w, id := range seed {
-		if mk[id] < 0 {
-			mk[id] = next
-			next++
-		}
-		r.block[w] = mk[id]
-	}
-	r.n = next
-	return r
-}
-
-// factRefiner is a refiner from the trivial partition already split by
+// factRefiner is a refiner from the trivial one-block partition split by
 // every fact column: its blocks are the model's valuation classes.
 func (m *Model) factRefiner() *refiner {
-	r := m.newRefiner(nil, 0)
+	r := &refiner{m: m, W: m.numWorlds, block: make([]int32, m.numWorlds), n: 1}
 	r.splitByFacts()
 	return r
 }
@@ -461,9 +264,7 @@ func (r *refiner) splitBySigs(ids, sg []int32, nSig int32) {
 
 // refine splits until a full round over all agents splits nothing.
 // Refinement only ever splits, so a round that leaves the block count
-// unchanged is the fixed point. Seeded runs that start at (or near) the
-// stable partition pay one confirming round instead of one round per
-// distinction the from-scratch refinement has to rediscover.
+// unchanged is the fixed point.
 func (r *refiner) refine() {
 	r.resolveRels()
 	for {

@@ -119,20 +119,6 @@ type Model struct {
 	// after construction; jointPartition materializes entries on demand.
 	inheritedJoint map[string]pendingPart
 
-	// inheritedReach carries G-reachability partitions remapped from the
-	// model this one was restricted from, keyed like derived.reach. Unlike
-	// joint views the renamed ids are not exact — restriction can split
-	// components — so each entry is a *seed*: the true components refine
-	// it, and reachFromSeed rebuilds only the seed components that lost a
-	// world. Read-only after construction.
-	inheritedReach map[string]reachSeed
-
-	// quotSeed, when non-nil, is a Minimize block map of the model this one
-	// was restricted from, renamed over the kept worlds. Minimize uses it
-	// to re-refine incrementally (minimizeSeeded) instead of refining from
-	// the trivial partition. Read-only after construction.
-	quotSeed *quotientSeed
-
 	// derived caches the partition tables; buildMu serializes their
 	// (re)construction so concurrent evaluators build them once.
 	derived atomic.Pointer[derived]
@@ -164,30 +150,6 @@ type agentRel struct {
 type pendingPart struct {
 	ids []int32
 	n   int
-}
-
-// quotientSeed is a Minimize block map renamed over the kept worlds of a
-// restriction. dirty, when non-nil, records per seed block whether the
-// restriction disturbed its modal environment — some world of one of its
-// members' view classes was removed — and is only computed when the caller
-// declared the seed exact (RestrictOptions.SeedBlocksExact): minimizeSeeded
-// then narrows its compose pass to the disturbed region, and may skip it
-// entirely when nothing was disturbed.
-type quotientSeed struct {
-	ids   []int32
-	n     int
-	dirty []bool
-}
-
-// reachSeed is a pre-announcement reachability partition renamed over the
-// kept worlds. Removing worlds can only disconnect, never connect, so the
-// true components of the restricted model refine the seed exactly within
-// its classes; touched[c] records whether seed component c lost a world
-// anywhere along the restriction chain (only those need rebuilding).
-type reachSeed struct {
-	ids     []int32
-	n       int
-	touched []bool
 }
 
 // derived holds everything computed from the construction-time relations:
@@ -363,16 +325,13 @@ func (m *Model) Indistinguishable(a int, w1, w2 int) {
 }
 
 // invalidateDerived drops every table derived from the relations: the
-// partition-table cache and any state inherited from a restriction —
-// joint-view partitions, reachability seeds and the quotient seed all
-// describe the pre-mutation relations.
+// partition-table cache and the joint-view partitions inherited from a
+// restriction, which describe the pre-mutation relations.
 func (m *Model) invalidateDerived() {
 	if m.derived.Load() != nil {
 		m.derived.Store(nil)
 	}
 	m.inheritedJoint = nil
-	m.inheritedReach = nil
-	m.quotSeed = nil
 }
 
 // setPartition installs agent a's whole view partition as dense class ids
@@ -572,16 +531,9 @@ func (m *Model) groupKey(dst []byte, agents []int) []byte {
 // components (Section 6: the transitive closure of the union of the G view
 // partitions), memoized per agent group. C_G evaluation — including every
 // iteration of a fixed point — reuses it instead of rebuilding a
-// union-find per call.
-//
-// Unlike joint-view partitions, renamed reachability components are not
-// exact after a restriction (two kept worlds may be connected only through
-// removed worlds, so restricted components can be strictly finer). Restrict
-// therefore carries them as *seeds*: components can only split within old
-// components, so the rebuild is component-local — seed components that lost
-// no world keep their id wholesale, and only the touched ones re-run a
-// union-find over their own worlds (reachFromSeed). Without a seed the
-// components are built from scratch over the whole model.
+// union-find per call. Unlike joint views, reachability components do
+// not survive a restriction (two kept worlds may be connected only through
+// removed worlds), so a restricted model builds its own.
 func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partition {
 	key := m.groupKey(keyBuf[:0], agents)
 	// Warm fast path, kept free of the single-flight closure: fixed-point
@@ -593,9 +545,6 @@ func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partiti
 		return p
 	}
 	return singleFlight(t, key, t.reach, &t.reachFlight, func() *partition {
-		if seed, ok := m.inheritedReach[string(key)]; ok {
-			return m.reachFromSeed(t, agents, seed)
-		}
 		return m.reachScratch(t, agents)
 	})
 }
@@ -675,104 +624,6 @@ func (m *Model) reachScratch(t *derived, agents []int) *partition {
 	ids := make([]int32, m.numWorlds)
 	n := d.CompIDsInto(ids, nil)
 	return newPartition(ids, n)
-}
-
-// reachFromSeed rebuilds the G-reachability components from an inherited
-// seed, component-locally: worlds are bucketed by seed component, untouched
-// components keep a single fresh id with no union-find work at all, and
-// each touched component runs a seeded union-find over only its own worlds
-// (classes never cross components, so the locality is exact). Cost is
-// O(worlds) for the bucketing plus O(|component| · |agents|) per touched
-// component, instead of O(worlds · |agents|) from scratch.
-func (m *Model) reachFromSeed(t *derived, agents []int, seed reachSeed) *partition {
-	// A single touched component (the degenerate fully-connected case, as
-	// in the muddy models) has nothing to skip, so the bucketing overhead
-	// is not worth paying.
-	if seed.n <= 1 && (seed.n == 0 || seed.touched[0]) {
-		return m.reachScratch(t, agents)
-	}
-	m.ensureParts(t, agents)
-	W := m.numWorlds
-	// Bucket worlds by seed component (counting sort; seed ids are dense).
-	off := make([]int32, seed.n+1)
-	for _, id := range seed.ids {
-		off[id+1]++
-	}
-	for c := 0; c < seed.n; c++ {
-		off[c+1] += off[c]
-	}
-	members := make([]int32, W)
-	cur := append([]int32(nil), off[:seed.n]...)
-	for w, id := range seed.ids {
-		members[cur[id]] = int32(w)
-		cur[id]++
-	}
-	ids := make([]int32, W)
-	next := int32(0)
-	// Scratch for the touched components, allocated on first need: a
-	// reusable local DSU, epoch-stamped first-member-per-class tables, and
-	// epoch-stamped root→id tables for the dense renumbering.
-	var (
-		d              *unionfind.DSU
-		stamp, firstAt []int32
-		classEpoch     int32
-		rootID         []int32
-		rootStamp      []int32
-		rootEpoch      int32
-	)
-	for c := 0; c < seed.n; c++ {
-		ms := members[off[c]:off[c+1]]
-		if !seed.touched[c] {
-			// The component lost no world anywhere along the chain: its
-			// classes are intact, so it is still one connected component.
-			for _, w := range ms {
-				ids[w] = next
-			}
-			next++
-			continue
-		}
-		if d == nil {
-			d = unionfind.New(len(ms))
-			maxClasses := 0
-			for _, a := range agents {
-				if p := t.parts[a].Load(); p.n > maxClasses {
-					maxClasses = p.n
-				}
-			}
-			stamp = make([]int32, maxClasses)
-			firstAt = make([]int32, maxClasses)
-			rootID = make([]int32, W)
-			rootStamp = make([]int32, W)
-		} else {
-			d.Reset(len(ms))
-		}
-		// Seeded union-find over only this component's worlds, indexed by
-		// their position in ms.
-		for _, a := range agents {
-			part := t.parts[a].Load()
-			classEpoch++
-			for i, w := range ms {
-				cls := part.ids[w]
-				if stamp[cls] != classEpoch {
-					stamp[cls] = classEpoch
-					firstAt[cls] = int32(i)
-				} else {
-					d.Union(int(firstAt[cls]), i)
-				}
-			}
-		}
-		rootEpoch++
-		for i, w := range ms {
-			r := d.Find(i)
-			if rootStamp[r] != rootEpoch {
-				rootStamp[r] = rootEpoch
-				rootID[r] = next
-				next++
-			}
-			ids[w] = rootID[r]
-		}
-	}
-	return newPartition(ids, int(next))
 }
 
 // jointPartition returns the common refinement of the agents' view
@@ -1068,81 +919,18 @@ func renumber(dst []int32, src []int32, old []int, mark []int32) int32 {
 	return next
 }
 
-// RestrictOptions selects which derived state Restrict threads into the
-// submodel. The zero value is the fully from-scratch restriction (nothing
-// inherited — the ablation baseline); DefaultRestrictOptions (what Restrict
-// uses) inherits everything that is sound to inherit.
-type RestrictOptions struct {
-	// InheritJoint remaps memoized joint-view partitions into the submodel.
-	// Common refinement commutes with restriction, so the renamed ids are
-	// exact.
-	InheritJoint bool
-	// InheritReach carries memoized G-reachability partitions into the
-	// submodel as re-refinement seeds: components only split under
-	// restriction, so the submodel rebuilds them component-locally
-	// (untouched components are free) instead of from scratch.
-	InheritReach bool
-	// SeedBlocks, when non-nil, must be a Minimize block map of the model
-	// being restricted (or a chain-composed one); its renaming over the
-	// kept worlds seeds the submodel's next Minimize, which then re-refines
-	// from the old blocks instead of the trivial partition. Any partition
-	// of the worlds yields a correct (exact) Minimize; seeds far from the
-	// true quotient merely refine longer.
-	SeedBlocks []int
-	// SeedBlocksExact declares that SeedBlocks is exactly this model's own
-	// coarsest quotient — a fresh Minimize block map, not a chain-composed
-	// or arbitrary partition. It lets the restriction record which seed
-	// blocks the announcement disturbed (touched-block tracking), so the
-	// submodel's Minimize can bound its merge-finding compose pass to the
-	// disturbed region instead of re-minimizing the whole quotient. With an
-	// inexact seed the flags would be unsound; leave it false and Minimize
-	// stays exact via the full compose pass.
-	SeedBlocksExact bool
-}
-
-// DefaultRestrictOptions inherits joint views and reachability seeds — the
-// options plain Restrict uses.
-func DefaultRestrictOptions() RestrictOptions {
-	return RestrictOptions{InheritJoint: true, InheritReach: true}
-}
-
 // Restrict returns the submodel induced by the given world set (a public
 // announcement of "the actual world is in keep"). World w of the new model
 // is the i-th element of keep in increasing order. Ground facts and
 // indistinguishability are inherited: valuation columns are compacted with
 // the word-level gather kernel, per-agent partitions are renamed in one
-// pass per agent (sharded across goroutines on large wide models), any
+// pass per agent (sharded across goroutines on large wide models), and any
 // memoized joint-view partitions are remapped into the new model —
 // restriction commutes with common refinement, so an announcement chain
-// inherits its D_G structure instead of recomputing it — and memoized
-// reachability components are carried as seeds for the component-local
-// rebuild on the submodel's first C_G use. The Temporal hook is not
-// carried over, since run/time structure generally does not survive
+// inherits its D_G structure instead of recomputing it. The Temporal hook
+// is not carried over, since run/time structure generally does not survive
 // restriction.
 func (m *Model) Restrict(keep *bitset.Set) *Model {
-	return m.RestrictOpts(keep, DefaultRestrictOptions())
-}
-
-// RestrictWithQuotient is Restrict threading a Minimize block map of this
-// model through the announcement: the submodel's next Minimize (and hence
-// QuotientForEval) re-refines from the renamed old blocks instead of the
-// trivial partition, which is what makes quotient-before-eval pay inside a
-// round loop rather than only for one-shot batches. blocks must be this
-// model's own Minimize block map (one entry per world); passing an
-// arbitrary or chain-composed partition instead requires RestrictOpts with
-// SeedBlocksExact left false. The exactness lets the restriction track
-// which blocks the announcement disturbed, bounding the submodel's
-// Minimize to the disturbed region.
-func (m *Model) RestrictWithQuotient(keep *bitset.Set, blocks []int) *Model {
-	opts := DefaultRestrictOptions()
-	opts.SeedBlocks = blocks
-	opts.SeedBlocksExact = true
-	return m.RestrictOpts(keep, opts)
-}
-
-// RestrictOpts is Restrict with explicit control over the inherited state;
-// see RestrictOptions.
-func (m *Model) RestrictOpts(keep *bitset.Set, opts RestrictOptions) *Model {
 	scr := restrictPool.Get().(*restrictScratch)
 	old := scr.old[:0]
 	keep.ForEach(func(w int) bool {
@@ -1190,15 +978,7 @@ func (m *Model) RestrictOpts(keep *bitset.Set, opts RestrictOptions) *Model {
 		}
 	}
 
-	if opts.InheritJoint {
-		m.inheritJointInto(sub, old, scr)
-	}
-	if opts.InheritReach {
-		m.inheritReachInto(sub, old, scr)
-	}
-	if opts.SeedBlocks != nil {
-		m.seedQuotientInto(sub, old, opts.SeedBlocks, opts.SeedBlocksExact)
-	}
+	m.inheritJointInto(sub, old, scr)
 	restrictPool.Put(scr)
 	return sub
 }
@@ -1270,122 +1050,4 @@ func (m *Model) inheritJointInto(sub *Model, old []int, scr *restrictScratch) {
 	for key, pp := range m.inheritedJoint {
 		remap(key, pp.ids, pp.n)
 	}
-}
-
-// inheritReachInto carries every memoized (or still-pending) reachability
-// partition of m onto the restricted model as a seed: the class ids are
-// renamed over the kept worlds, and a seed component is flagged touched
-// when it lost a world in this restriction (or already was touched earlier
-// in the chain without having been rebuilt since). Materialized entries of
-// m are exact components and take precedence over m's own pending seeds
-// for the same group.
-func (m *Model) inheritReachInto(sub *Model, old []int, scr *restrictScratch) {
-	remap := func(key string, ids []int32, n int, oldTouched []bool) {
-		if _, ok := sub.inheritedReach[key]; ok {
-			return
-		}
-		if cap(scr.mark) < n {
-			scr.mark = make([]int32, n)
-		}
-		mark := scr.mark[:n]
-		subIDs := make([]int32, len(old))
-		next := renumber(subIDs, ids, old, mark)
-		// A component is touched iff it kept fewer worlds than it had (or
-		// carried a touched flag from an earlier, never-rebuilt remap).
-		oldCount := make([]int32, n)
-		for _, id := range ids {
-			oldCount[id]++
-		}
-		keptCount := make([]int32, next)
-		for _, id := range subIDs {
-			keptCount[id]++
-		}
-		touched := make([]bool, next)
-		for oldID := 0; oldID < n; oldID++ {
-			newID := mark[oldID]
-			if newID < 0 {
-				continue // component eliminated entirely
-			}
-			touched[newID] = keptCount[newID] != oldCount[oldID] ||
-				(oldTouched != nil && oldTouched[oldID])
-		}
-		if sub.inheritedReach == nil {
-			sub.inheritedReach = make(map[string]reachSeed)
-		}
-		sub.inheritedReach[key] = reachSeed{ids: subIDs, n: int(next), touched: touched}
-	}
-	if t := m.derived.Load(); t != nil {
-		t.mu.RLock()
-		for key, p := range t.reach {
-			remap(key, p.ids, p.n, nil)
-		}
-		t.mu.RUnlock()
-	}
-	for key, rs := range m.inheritedReach {
-		remap(key, rs.ids, rs.n, rs.touched)
-	}
-}
-
-// seedQuotientInto renames a Minimize block map of m over the kept worlds
-// and installs it as the submodel's quotient seed. When the caller declared
-// the seed exact, it additionally records which surviving seed blocks the
-// restriction disturbed: a block is dirty iff some view class of one of its
-// kept members lost a world. An undisturbed block's members keep exactly
-// the modal environment they had, which is what lets minimizeSeeded skip
-// them when hunting for announcement-induced merges.
-func (m *Model) seedQuotientInto(sub *Model, old []int, blocks []int, exact bool) {
-	if len(blocks) != m.numWorlds {
-		panic(fmt.Sprintf("kripke: RestrictWithQuotient got a block map of %d entries for %d worlds",
-			len(blocks), m.numWorlds))
-	}
-	// The Minimize contract makes block ids dense in [0, numWorlds), so a
-	// mark table sized by the world count always fits.
-	mark := make([]int32, m.numWorlds)
-	for i := range mark {
-		mark[i] = -1
-	}
-	subIDs := make([]int32, len(old))
-	next := int32(0)
-	for i, w := range old {
-		b := blocks[w]
-		if mark[b] < 0 {
-			mark[b] = next
-			next++
-		}
-		subIDs[i] = mark[b]
-	}
-	var dirty []bool
-	if exact {
-		dirty = make([]bool, next)
-		kept := make([]bool, m.numWorlds)
-		for _, w := range old {
-			kept[w] = true
-		}
-		var lost []bool
-		for a := 0; a < m.numAgents; a++ {
-			ids, n := m.relIDs(a)
-			if ids == nil {
-				// Discrete relation: a removed world's singleton class
-				// contains no kept world, so nothing is disturbed.
-				continue
-			}
-			if cap(lost) < n {
-				lost = make([]bool, n)
-			} else {
-				lost = lost[:n]
-				clear(lost)
-			}
-			for w, id := range ids {
-				if !kept[w] {
-					lost[id] = true
-				}
-			}
-			for i, w := range old {
-				if lost[ids[w]] {
-					dirty[subIDs[i]] = true
-				}
-			}
-		}
-	}
-	sub.quotSeed = &quotientSeed{ids: subIDs, n: int(next), dirty: dirty}
 }

@@ -57,21 +57,13 @@ func (m *Model) QuotientForEval(minWorlds int) *Quotiented {
 	}
 	// Refinement only ever splits, so the valuation classes bound the
 	// quotient's size from below: past the keep ratio, Minimize cannot pay
-	// and is skipped. The bound is taken on the facts alone — a restriction
-	// seed can be finer than the coarsest quotient, since a restriction can
-	// merge worlds.
-	facts := m.factRefiner()
-	if float64(facts.n) > quotientKeepRatio*float64(m.numWorlds) {
+	// and is skipped.
+	r := m.factRefiner()
+	if float64(r.n) > quotientKeepRatio*float64(m.numWorlds) {
 		return &Quotiented{orig: m, quot: m}
 	}
-	var q *Model
-	var block []int
-	if s := m.quotSeed; s != nil {
-		q, block = m.minimizeSeeded(s.ids, s.n, s.dirty)
-	} else {
-		facts.refine()
-		q, block = facts.quotient()
-	}
+	r.refine()
+	q, block := r.quotient()
 	if float64(q.NumWorlds()) > quotientKeepRatio*float64(m.numWorlds) {
 		return &Quotiented{orig: m, quot: m}
 	}
@@ -91,8 +83,8 @@ func (m *Model) QuotientForEvalEpistemic(minWorlds int) *Quotiented {
 
 // epistemicView returns the model stripped of its temporal hook: a shallow
 // model sharing the (immutable once constructed) valuation columns, names,
-// relation ids and restriction-inherited seeds, with its own derived-table
-// caches.
+// relation ids and restriction-inherited joint views, with its own
+// derived-table caches.
 func (m *Model) epistemicView() *Model {
 	if m.Temporal == nil {
 		return m
@@ -101,8 +93,6 @@ func (m *Model) epistemicView() *Model {
 	v.names = m.names
 	v.valuation = m.valuation
 	v.inheritedJoint = m.inheritedJoint
-	v.inheritedReach = m.inheritedReach
-	v.quotSeed = m.quotSeed
 	for a := 0; a < m.numAgents; a++ {
 		ids, n := m.relIDs(a)
 		if ids != nil {
@@ -125,18 +115,15 @@ func (q *Quotiented) Model() *Model { return q.orig }
 func (q *Quotiented) Blocks() []int { return q.block }
 
 // Restrict applies a public announcement to the view: the original model is
-// restricted to keep (a set of original-model worlds), the current block
-// map — when there is one — is threaded through the restriction so the
-// submodel's quotient re-refines incrementally from the renamed old blocks,
-// and a fresh view is built over the submodel with the same gates as
-// QuotientForEval. This is the per-round step of an announcement chain:
-// each link pays an incremental re-refinement instead of a from-scratch
-// Minimize.
+// restricted to keep (a set of original-model worlds) and a fresh view is
+// built over the submodel with the same gates as QuotientForEval. This is
+// the per-round step of an announcement chain. The old block map is not
+// carried over: a restriction can merge worlds as well as split blocks, and
+// on the chains knowd serves, re-minimizing the submodel from its valuation
+// classes costs less than re-refining from the old blocks and composing the
+// merges back in.
 func (q *Quotiented) Restrict(keep *bitset.Set, minWorlds int) *Quotiented {
-	if q.block == nil {
-		return q.orig.Restrict(keep).QuotientForEval(minWorlds)
-	}
-	return q.orig.RestrictWithQuotient(keep, q.block).QuotientForEval(minWorlds)
+	return q.orig.Restrict(keep).QuotientForEval(minWorlds)
 }
 
 // NumWorlds returns the world count of the original model.

@@ -3,6 +3,7 @@ package kripke
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,8 +176,7 @@ func factClassModel(rng *rand.Rand, n, classes, numAgents int) *Model {
 // valuation classes alone exceed the keep ratio, must report the same
 // Quotiented, QuotientWorlds and Blocks as running Minimize and then the
 // ratio check — on random models, on models whose class count sits exactly
-// at and just past the keep ratio, and on the seeded submodels
-// RestrictWithQuotient produces from them.
+// at and just past the keep ratio, and on random restrictions of them.
 func TestQuickQuotientForEvalFactBoundExact(t *testing.T) {
 	reference := func(m *Model) (bool, int, []int) {
 		q, block := m.Minimize()
@@ -190,7 +190,7 @@ func TestQuickQuotientForEvalFactBoundExact(t *testing.T) {
 		t.Helper()
 		wantQ, wantW, wantB := reference(m)
 		v := m.QuotientForEval(1)
-		if v.Quotiented() != wantQ || v.QuotientWorlds() != wantW || !equalInts(v.Blocks(), wantB) {
+		if v.Quotiented() != wantQ || v.QuotientWorlds() != wantW || !slices.Equal(v.Blocks(), wantB) {
 			t.Errorf("%s: gated view (quotiented %v, %d worlds, blocks %v), want (%v, %d, %v)",
 				label, v.Quotiented(), v.QuotientWorlds(), v.Blocks(), wantQ, wantW, wantB)
 			return false
@@ -217,9 +217,7 @@ func TestQuickQuotientForEvalFactBoundExact(t *testing.T) {
 			if !check(label, m) {
 				return false
 			}
-			_, blocks := m.Minimize()
-			sub := m.RestrictWithQuotient(randKeep(rng, n), blocks)
-			if !check(label+", seeded restriction", sub) {
+			if !check(label+", restriction", m.Restrict(randKeep(rng, n))) {
 				return false
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/hist"
 	"repro/internal/server"
 )
 
@@ -50,7 +51,7 @@ type Result struct {
 	Records []Record
 	// Hists are the per-op-type latency histograms, merged across workers
 	// in worker order.
-	Hists map[OpKind]*Hist
+	Hists map[OpKind]*hist.Hist
 	// Errors counts failed ops.
 	Errors int
 	// Elapsed is the wall time of the whole run (reporting only).
@@ -64,7 +65,7 @@ type worker struct {
 	sids     map[string]string // logical ID -> server session ID
 	opens    []Record
 	body     []Record
-	hists    map[OpKind]*Hist
+	hists    map[OpKind]*hist.Hist
 	errs     int
 	afterOp  func(op Op)
 	evalWkrs int
@@ -73,7 +74,7 @@ type worker struct {
 func (wk *worker) observe(kind OpKind, d time.Duration) {
 	h := wk.hists[kind]
 	if h == nil {
-		h = &Hist{}
+		h = &hist.Hist{}
 		wk.hists[kind] = h
 	}
 	h.Observe(d)
@@ -184,7 +185,7 @@ func (s *Schedule) Run(rc RunConfig) (*Result, error) {
 			w:        w,
 			c:        rc.NewClient(w),
 			sids:     make(map[string]string),
-			hists:    make(map[OpKind]*Hist),
+			hists:    make(map[OpKind]*hist.Hist),
 			evalWkrs: rc.EvalWorkers,
 		}
 		if rc.AfterOp != nil {
@@ -213,7 +214,7 @@ func (s *Schedule) Run(rc RunConfig) (*Result, error) {
 	phase(func(wk *worker) ([]Op, *[]Record) { return s.Opens[wk.w], &wk.opens })
 	phase(func(wk *worker) ([]Op, *[]Record) { return s.Body[wk.w], &wk.body })
 
-	res := &Result{Hists: make(map[OpKind]*Hist), Elapsed: time.Since(start)}
+	res := &Result{Hists: make(map[OpKind]*hist.Hist), Elapsed: time.Since(start)}
 	for _, wk := range workers {
 		res.Records = append(res.Records, wk.opens...)
 	}
@@ -222,7 +223,7 @@ func (s *Schedule) Run(rc RunConfig) (*Result, error) {
 		res.Errors += wk.errs
 		for kind, h := range wk.hists {
 			if res.Hists[kind] == nil {
-				res.Hists[kind] = &Hist{}
+				res.Hists[kind] = &hist.Hist{}
 			}
 			res.Hists[kind].Merge(h)
 		}

@@ -103,49 +103,6 @@ func TestFinalLinks(t *testing.T) {
 	}
 }
 
-func TestHistQuantiles(t *testing.T) {
-	var h Hist
-	for i := 0; i < 90; i++ {
-		h.Observe(100 * time.Microsecond) // bucket (64us, 128us]
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(5 * time.Millisecond) // bucket (4096us, 8192us]
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if got := h.Quantile(0.5); got != 128*time.Microsecond {
-		t.Errorf("p50 %v, want 128us bucket bound", got)
-	}
-	if got := h.Quantile(0.99); got != 8192*time.Microsecond {
-		t.Errorf("p99 %v, want 8192us bucket bound", got)
-	}
-	if h.Max() != 5*time.Millisecond {
-		t.Errorf("max %v", h.Max())
-	}
-
-	// Merge is bucket addition: two halves equal the whole.
-	var a, b Hist
-	for i := 0; i < 45; i++ {
-		a.Observe(100 * time.Microsecond)
-		b.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 5; i++ {
-		a.Observe(5 * time.Millisecond)
-		b.Observe(5 * time.Millisecond)
-	}
-	a.Merge(&b)
-	if a.Count() != h.Count() || a.Quantile(0.5) != h.Quantile(0.5) ||
-		a.Quantile(0.99) != h.Quantile(0.99) || a.Max() != h.Max() {
-		t.Errorf("merged %s, whole %s", a.String(), h.String())
-	}
-
-	var empty Hist
-	if empty.Quantile(0.99) != 0 || empty.Max() != 0 {
-		t.Error("empty histogram reports nonzero latency")
-	}
-}
-
 // runFleet executes sc against baseURL with per-worker seeded clients.
 func runFleet(t *testing.T, sc *Schedule, baseURL string, afterOp func(int, Op)) *Result {
 	t.Helper()

@@ -11,7 +11,7 @@ var reportKinds = []OpKind{OpOpen, OpEval, OpAnnounce, OpClose}
 // WriteReport renders a fleet run as LOAD_REPORT.md: the run's identity
 // (seed, fleet shape, mix — everything needed to replay it), the op
 // outcome counts, and the per-op-type latency table. Quantiles are
-// log-bucket upper bounds (see Hist), so they read "p99 at most".
+// log-bucket upper bounds (see hist.Hist), so they read "p99 at most".
 func WriteReport(w io.Writer, sc *Schedule, res *Result) error {
 	cfg := sc.Cfg
 	fmt.Fprintf(w, "# knowload report\n\n")

@@ -49,10 +49,6 @@ type Puzzle struct {
 	// eliminated it.
 	actualWorld int
 	model       *kripke.Model
-	// fromScratch forces every announcement to rebuild the model's derived
-	// state from scratch instead of threading it through Restrict — the
-	// ablation baseline for the incremental chain path, never the default.
-	fromScratch bool
 	// parallel is the worker count of the per-round knowledge batch
 	// (kripke.BatchWorkers semantics: 0 = one per core, 1 = serial).
 	parallel int
@@ -153,12 +149,6 @@ func (p *Puzzle) ActualWorld() (int, error) {
 	return p.actualWorld, nil
 }
 
-// SetIncremental selects between the incremental announcement path (the
-// default: Restrict threads memoized joint views and reachability seeds
-// into each round's submodel) and the from-scratch ablation baseline
-// (every round rebuilds derived state on first use).
-func (p *Puzzle) SetIncremental(on bool) { p.fromScratch = !on }
-
 // SetParallel sets the worker count of the per-round knowledge batch: each
 // round evaluates the n "do you know?" formulas with kripke.EvalBatch, and
 // workers fan them out over the shared round model. 0 (the default) means
@@ -175,11 +165,7 @@ func (p *Puzzle) announce(keep *bitset.Set) {
 			p.actualWorld = -1
 		}
 	}
-	if p.fromScratch {
-		p.model = p.model.RestrictOpts(keep, kripke.RestrictOptions{})
-	} else {
-		p.model = p.model.Restrict(keep)
-	}
+	p.model = p.model.Restrict(keep)
 }
 
 // HoldsNow reports whether f holds at the actual world of the current model.
@@ -395,14 +381,8 @@ const (
 
 // SimOptions tunes a simulation beyond the announcement mode.
 type SimOptions struct {
-	// Incremental selects the announcement path of the round loop: true
-	// (what Simulate uses) threads derived state through each Restrict,
-	// false forces the from-scratch ablation baseline.
-	Incremental bool
 	// TrackCommon evaluates C m at the actual world after every round and
-	// records the verdicts in SimResult.CommonM. The per-round C
-	// evaluation is exactly the workload the inherited reachability seeds
-	// accelerate.
+	// records the verdicts in SimResult.CommonM.
 	TrackCommon bool
 	// Parallel is the worker count of the per-round knowledge batch
 	// (kripke.BatchWorkers semantics): 0, the zero value, fans the n
@@ -412,10 +392,9 @@ type SimOptions struct {
 }
 
 // Simulate runs the puzzle with n children, the listed ones muddy, under
-// the given announcement mode, for at most maxRounds rounds, on the
-// incremental announcement path.
+// the given announcement mode, for at most maxRounds rounds.
 func Simulate(n int, muddy []int, mode AnnouncementMode, maxRounds int) (SimResult, error) {
-	return SimulateOpts(n, muddy, mode, maxRounds, SimOptions{Incremental: true})
+	return SimulateOpts(n, muddy, mode, maxRounds, SimOptions{})
 }
 
 // SimulateOpts is Simulate with explicit options.
@@ -425,7 +404,6 @@ func SimulateOpts(n int, muddy []int, mode AnnouncementMode, maxRounds int, opts
 	if err != nil {
 		return SimResult{}, err
 	}
-	p.SetIncremental(opts.Incremental)
 	p.SetParallel(opts.Parallel)
 	switch mode {
 	case NoAnnouncement:

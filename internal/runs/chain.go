@@ -10,33 +10,27 @@ import (
 
 // Chain replays a sequence of public announcements on the epistemic
 // structure of a point model. Each Announce evaluates its formula on the
-// current view, restricts the model to the worlds where it holds, and —
-// on the incremental path — threads the quotient block map and the
-// memoized reachability components through the restriction, so every link
-// of the chain pays a seeded re-refinement (kripke.Quotiented.Restrict /
-// RestrictWithQuotient) instead of a from-scratch Minimize and union-find
-// rebuild. The from-scratch path restricts with zero inheritance; the two
-// are observationally identical, which chain_test pins.
+// current view, restricts the model to the worlds where it holds, and
+// takes a fresh quotient-for-eval view of the submodel
+// (kripke.Quotiented.Restrict).
 //
 // The chain works on the point model's epistemic view: announcement
 // formulas (and queries) must be free of the run-based temporal operators,
 // which do not survive restriction.
 type Chain struct {
-	view        *kripke.Quotiented
-	minWorlds   int
-	incremental bool
-	marked      int // tracked world in the current model, -1 when unset/eliminated
+	view      *kripke.Quotiented
+	minWorlds int
+	marked    int // tracked world in the current model, -1 when unset/eliminated
 }
 
 // Chain starts an announcement chain on the point model's epistemic view.
 // minWorlds is the QuotientForEval threshold applied at every link (<= 0
-// means the kripke default); incremental selects the seeded path.
-func (pm *PointModel) Chain(minWorlds int, incremental bool) *Chain {
+// means the kripke default).
+func (pm *PointModel) Chain(minWorlds int) *Chain {
 	return &Chain{
-		view:        pm.EpistemicQuotient(minWorlds),
-		minWorlds:   minWorlds,
-		incremental: incremental,
-		marked:      -1,
+		view:      pm.EpistemicQuotient(minWorlds),
+		minWorlds: minWorlds,
+		marked:    -1,
 	}
 }
 
@@ -93,10 +87,6 @@ func (c *Chain) Announce(f logic.Formula) error {
 			c.marked = -1
 		}
 	}
-	if c.incremental {
-		c.view = c.view.Restrict(keep, c.minWorlds)
-	} else {
-		c.view = c.view.Model().RestrictOpts(keep, kripke.RestrictOptions{}).QuotientForEval(c.minWorlds)
-	}
+	c.view = c.view.Restrict(keep, c.minWorlds)
 	return nil
 }

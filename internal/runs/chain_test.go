@@ -30,7 +30,7 @@ func TestChainAnnounceTracksMarkedWorld(t *testing.T) {
 	interp := Interpretation{"sent": StablyTrue(SentBy("m"))}
 	pm := sys.Model(CompleteHistoryView, interp)
 
-	ch := pm.Chain(1, true)
+	ch := pm.Chain(1)
 	w, err := pm.WorldOf("ok", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -63,57 +63,13 @@ func TestChainAnnounceTracksMarkedWorld(t *testing.T) {
 	}
 }
 
-// TestChainIncrementalMatchesScratch pins the seeded chain path to the
-// from-scratch one over a short announcement chain.
-func TestChainIncrementalMatchesScratch(t *testing.T) {
-	sys := chainSystem(t)
-	interp := Interpretation{"sent": StablyTrue(SentBy("m"))}
-	announcements := []logic.Formula{
-		logic.P("sent"),
-		logic.K(1, logic.P("sent")),
-	}
-	queries := []logic.Formula{
-		logic.P("sent"),
-		logic.K(0, logic.P("sent")),
-		logic.C(nil, logic.P("sent")),
-	}
-
-	inc := sys.Model(CompleteHistoryView, interp).Chain(1, true)
-	scr := sys.Model(CompleteHistoryView, interp).Chain(1, false)
-	for _, a := range announcements {
-		if err := inc.Announce(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := scr.Announce(a); err != nil {
-			t.Fatal(err)
-		}
-		if inc.NumWorlds() != scr.NumWorlds() {
-			t.Fatalf("after %s: incremental has %d worlds, from-scratch %d",
-				a, inc.NumWorlds(), scr.NumWorlds())
-		}
-		for _, q := range queries {
-			got, err := inc.Eval(q)
-			if err != nil {
-				t.Fatalf("eval %s incremental: %v", q, err)
-			}
-			want, err := scr.Eval(q)
-			if err != nil {
-				t.Fatalf("eval %s from-scratch: %v", q, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("after %s: Eval(%s) diverged: %s vs %s", a, q, got, want)
-			}
-		}
-	}
-}
-
 // TestChainRejectsTemporalFormulas pins the epistemic-view contract: the
 // run-based operators do not survive restriction, so a chain must refuse
 // them instead of answering from a broken structure.
 func TestChainRejectsTemporalFormulas(t *testing.T) {
 	sys := chainSystem(t)
 	interp := Interpretation{"sent": StablyTrue(SentBy("m"))}
-	ch := sys.Model(CompleteHistoryView, interp).Chain(1, true)
+	ch := sys.Model(CompleteHistoryView, interp).Chain(1)
 	if err := ch.Announce(logic.Ev(logic.P("sent"))); err == nil {
 		t.Fatal("announcing a temporal formula on a chain did not error")
 	}

@@ -406,14 +406,11 @@ type LadderStep struct {
 // Ladder replays the delivery announcement chain of a built regime on its
 // epistemic structure: link d publicly announces "at least d messages were
 // delivered", then batch-evaluates the E^k tower and C of the broadcast
-// fact at the witness point. incremental selects the seeded re-refinement
-// path of runs.Chain (the PR 4 machinery); verdicts are identical either
-// way — the ablation benchmark measures exactly this toggle over a seeded
-// sweep.
-func (b *Built) Ladder(p Params, incremental bool) ([]LadderStep, error) {
+// fact at the witness point.
+func (b *Built) Ladder(p Params) ([]LadderStep, error) {
 	p = p.withDefaults()
 	w := b.PM.World(b.WitnessIdx, b.TStar)
-	ch := b.PM.Chain(1, incremental)
+	ch := b.PM.Chain(1)
 	ch.Mark(w)
 	phi := logic.P(SentProp)
 	maxDepth := p.Agents - 1

@@ -3,8 +3,7 @@
 // open sessions against experiment systems (muddy-n, the coordinated
 // attack, R2-D2, the scenario fault regimes), evaluate formula batches on
 // the session's current model, and drive public-announcement chains whose
-// warm incremental state (quotient block maps, seeded re-refinement) lives
-// server-side between requests.
+// current quotient-for-eval view lives server-side between requests.
 //
 // The robustness surface is deliberately explicit, because the daemon is
 // chaos-tested by the repository's own fault engine:
@@ -665,7 +664,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // Session persistence: the drain path of the tentpole. Chains are stored
 // as their announcement sources plus the expected model shape; restore
-// replays the sources through the same incremental machinery and verifies
+// replays the sources through the same Restrict path and verifies
 // the rebuilt chain matches world for world before trusting it.
 
 type persistedSession struct {

@@ -57,7 +57,7 @@ func (ss *session) evalBatch(ctx context.Context, fs []logic.Formula, workers in
 }
 
 // announce publicly announces f: the current view is restricted to f's
-// denotation (incremental quotient path), the marked world is tracked
+// denotation (Quotiented.Restrict), the marked world is tracked
 // through by rank, and the source is appended to the chain record so the
 // session can be persisted and replayed.
 func (ss *session) announce(src string, f logic.Formula) error {

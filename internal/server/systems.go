@@ -24,8 +24,8 @@ type loaded struct {
 	agents int
 	// view is the chain's current epistemic structure. It starts at the
 	// system's quotient-for-eval view and is replaced by Quotiented.Restrict
-	// on every announcement, which threads the block map through while the
-	// view is quotiented.
+	// on every announcement, which restricts the original model and takes
+	// a fresh quotient-for-eval view of the submodel.
 	view *kripke.Quotiented
 	// pm is non-nil for runs-based systems and carries the temporal
 	// semantics hook; it matches view's world coordinates only at link 0.

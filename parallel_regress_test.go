@@ -110,12 +110,12 @@ func TestSimulateParallelMatchesSerial(t *testing.T) {
 			muddySet[i] = i
 		}
 		serial, err := muddy.SimulateOpts(9, muddySet, muddy.PublicAnnouncement, 6,
-			muddy.SimOptions{Incremental: true, TrackCommon: true, Parallel: 1})
+			muddy.SimOptions{TrackCommon: true, Parallel: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wide, err := muddy.SimulateOpts(9, muddySet, muddy.PublicAnnouncement, 6,
-			muddy.SimOptions{Incremental: true, TrackCommon: true, Parallel: 8})
+			muddy.SimOptions{TrackCommon: true, Parallel: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,10 +72,11 @@ extract_current() {
 # numbered densely (the compare gate discovers the latest one by counting
 # up from 1), but not every PR records a snapshot, so the two sequences
 # diverge: PRs 7-8 (serving layer, load harness) changed no benchmarked
-# paths and recorded none.
+# paths and recorded none, and PRs 10-12 recorded none either.
 snap_pr() {
     case "$1" in
     7) echo 9 ;;
+    8) echo 13 ;;
     *) echo "$1" ;;
     esac
 }
